@@ -57,43 +57,43 @@ fn lolrun_stats_prints_per_pe_comm_stats_on_stderr() {
     assert!(stderr.contains("[job]"), "{stderr}");
 }
 
+/// `both` is not a backend: every `--backend both` invocation fails like
+/// any unknown backend, prints nothing on stdout, and points at the sweep
+/// that diffs two engines. The three tests below keep the names they had
+/// when `--backend both` was a deprecated alias that forwarded to a sweep.
+fn assert_backend_both_is_unknown(flags: &[&str], prog: &std::path::Path) {
+    let out = Command::new(env!("CARGO_BIN_EXE_lolrun")).args(flags).arg(prog).output().unwrap();
+    assert!(!out.status.success(), "{flags:?}");
+    assert!(out.stdout.is_empty(), "{flags:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("O NOES! --backend IZ interp, vm, c OR sim, NOT both"), "{stderr}");
+    assert!(stderr.contains("--sweep \"backend=interp,vm\""), "{stderr}");
+}
+
 #[test]
 fn lolrun_backend_both_is_deprecated_and_forwards_to_a_sweep() {
+    // No longer forwarded: the flag alone is an unknown backend.
     let prog = write_temp("both.lol", HELLO);
-    let out = Command::new(env!("CARGO_BIN_EXE_lolrun"))
-        .args(["-np", "3", "--backend", "both"])
-        .arg(&prog)
-        .output()
-        .unwrap();
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("DEPRECATED"), "{stderr}");
-    assert!(stderr.contains("backend=interp,vm"), "{stderr}");
-    // The forwarded sweep runs both engines at the requested PE count
-    // and prints the scaling report, not raw program output.
-    let stdout = String::from_utf8(out.stdout).unwrap();
-    assert!(stdout.contains("x-interp"), "{stdout}");
-    assert!(stdout.contains("2 configs, 2 ok"), "{stdout}");
-    assert!(stdout.contains("interp") && stdout.contains("vm"), "{stdout}");
+    assert_backend_both_is_unknown(&["-np", "3", "--backend", "both"], &prog);
 }
 
 #[test]
 fn lolrun_backend_both_rejects_interp_only_programs() {
-    // SRS runs on the interpreter but cannot lower to bytecode, so the
-    // forwarded sweep must fail loudly (FAILED vm entry) rather than
-    // silently compare one engine against nothing.
+    // SRS runs on the interpreter but cannot lower to bytecode; the
+    // backend name is rejected before the program is even compiled.
     let prog = write_temp("srs.lol", "HAI 1.2\nI HAS A x ITZ 1\nVISIBLE SRS \"x\"\nKTHXBYE\n");
-    let out = Command::new(env!("CARGO_BIN_EXE_lolrun"))
-        .args(["--backend", "both"])
-        .arg(&prog)
-        .output()
-        .unwrap();
-    assert!(!out.status.success());
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("VMC0001"), "{stdout}");
-    assert!(stdout.contains("FAILED"), "{stdout}");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("HAZ A SAD"), "{stderr}");
+    assert_backend_both_is_unknown(&["--backend", "both"], &prog);
+}
+
+#[test]
+fn lolrun_sweep_spec_backend_clause_beats_backend_both_flag() {
+    // `--backend both` no longer fills a sweep axis, so even next to an
+    // explicit backend= clause it is an unknown backend.
+    let prog = write_temp("sweepb.lol", HELLO);
+    assert_backend_both_is_unknown(
+        &["--backend", "both", "--sweep", "backend=vm;pes=1,2", "--json"],
+        &prog,
+    );
 }
 
 #[test]
@@ -118,8 +118,7 @@ fn lolrun_c_backend_runs_or_reports_unsupported() {
 
 #[test]
 fn lolrun_three_backend_sweep_reports_all_engines() {
-    // The blessed replacement for `--backend both`, now covering all
-    // three of the paper's execution paths in one matrix.
+    // One matrix diffs all three of the paper's execution paths.
     let prog = write_temp("sweep3.lol", HELLO);
     let out = Command::new(env!("CARGO_BIN_EXE_lolrun"))
         .args(["--sweep", "pes=1,2;backend=interp,vm,c", "--json"])
@@ -217,23 +216,6 @@ fn lolrun_sweep_json_is_machine_readable() {
     assert!(stdout.contains("\"configs\": 4"), "{stdout}");
     assert!(stdout.contains("\"latency\": \"torus:2x1:50:11\""), "{stdout}");
     assert!(stdout.contains("\"output_hash\""), "{stdout}");
-}
-
-#[test]
-fn lolrun_sweep_spec_backend_clause_beats_backend_both_flag() {
-    // `--backend both` only fills the axis when the spec leaves it
-    // unset; an explicit backend= clause wins.
-    let prog = write_temp("sweepb.lol", HELLO);
-    let out = Command::new(env!("CARGO_BIN_EXE_lolrun"))
-        .args(["--backend", "both", "--sweep", "backend=vm;pes=1,2", "--json"])
-        .arg(&prog)
-        .output()
-        .unwrap();
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-    let stdout = String::from_utf8(out.stdout).unwrap();
-    assert!(stdout.contains("\"configs\": 2"), "{stdout}");
-    assert!(stdout.contains("\"backend\": \"vm\""), "{stdout}");
-    assert!(!stdout.contains("\"backend\": \"interp\""), "{stdout}");
 }
 
 #[test]

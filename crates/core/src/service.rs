@@ -12,6 +12,7 @@
 
 use crate::sweep;
 use crate::{Backend, LolError, RunConfig, RunReport};
+use lol_obs::json_escape;
 use std::time::Duration;
 
 // ---------------------------------------------------------------------
@@ -312,7 +313,7 @@ pub fn run_report_json(r: &RunReport, timing: bool) -> String {
                 }
                 out.push_str(&format!(
                     "{{\"op\": \"{}\", \"count\": {count}, \"super\": {is_super}}}",
-                    sweep::json_escape(name)
+                    json_escape(name)
                 ));
             }
             out.push_str("], \"hot\": [");
@@ -322,7 +323,7 @@ pub fn run_report_json(r: &RunReport, timing: bool) -> String {
                 }
                 out.push_str(&format!(
                     "{{\"chunk\": \"{}\", \"start\": {}, \"end\": {}, \"count\": {}}}",
-                    sweep::json_escape(&h.chunk),
+                    json_escape(&h.chunk),
                     h.start,
                     h.end,
                     h.count
@@ -341,7 +342,7 @@ pub fn run_report_json(r: &RunReport, timing: bool) -> String {
             out.push_str(", ");
         }
         out.push('"');
-        out.push_str(&sweep::json_escape(o));
+        out.push_str(&json_escape(o));
         out.push('"');
     }
     out.push_str("], ");

@@ -47,6 +47,7 @@ use crate::{
     engine_for, Backend, BarrierKind, ClockMode, Compiled, LatencyModel, LockKind, LolError,
     RunConfig, RunReport,
 };
+use lol_obs::json_escape;
 use std::collections::HashSet;
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -223,13 +224,6 @@ impl SweepSpec {
         } else {
             std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
         }
-    }
-
-    /// The explicitly-set backend axis (empty = inherit the base
-    /// config's backend). Lets callers distinguish "unset" from "set"
-    /// before layering their own default on top.
-    pub fn backends_requested(&self) -> &[Backend] {
-        &self.backends
     }
 
     /// The worker count a sweep of `n_configs` would actually use.
@@ -1242,23 +1236,6 @@ fn fmt_pes(n: usize) -> String {
     }
 }
 
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1439,12 +1416,6 @@ mod tests {
         let r1 = SweepSpec::over(base()).pes([2]).run(&artifact);
         let r2 = SweepSpec::over(base()).pes([3]).run(&artifact);
         assert_ne!(r1.entries[0].output_hash(), r2.entries[0].output_hash());
-    }
-
-    #[test]
-    fn json_escape_handles_specials() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
     }
 
     #[test]
@@ -1667,7 +1638,7 @@ mod tests {
             vec![Backend::Interp, Backend::Vm, Backend::C]
         );
         let all = SweepSpec::parse("backend=all", base()).unwrap();
-        assert_eq!(all.backends_requested(), &Backend::ALL);
+        assert_eq!(all.configs().iter().map(|c| c.backend).collect::<Vec<_>>(), Backend::ALL);
         assert!(SweepSpec::parse("backend=fortran", base()).is_err());
     }
 

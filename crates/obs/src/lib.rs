@@ -26,7 +26,7 @@ mod hist;
 mod log;
 
 pub use hist::{Histogram, BUCKETS};
-pub use log::{EventLog, Field};
+pub use log::{json_escape, EventLog, Field};
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};

@@ -51,9 +51,9 @@ impl EventLog {
         let mut line = String::with_capacity(64);
         line.push_str(&format!("{{\"ts_ms\": {ts_ms}"));
         for (key, value) in fields {
-            line.push_str(&format!(", \"{}\": ", escape(key)));
+            line.push_str(&format!(", \"{}\": ", json_escape(key)));
             match value {
-                Field::Str(s) => line.push_str(&format!("\"{}\"", escape(s))),
+                Field::Str(s) => line.push_str(&format!("\"{}\"", json_escape(s))),
                 Field::U64(n) => line.push_str(&n.to_string()),
                 Field::I64(n) => line.push_str(&n.to_string()),
                 Field::Bool(b) => line.push_str(if *b { "true" } else { "false" }),
@@ -66,7 +66,10 @@ impl EventLog {
     }
 }
 
-fn escape(s: &str) -> String {
+/// Escape `s` for embedding in a JSON string literal: quotes,
+/// backslashes and control characters. The workspace's one JSON
+/// string escaper.
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for ch in s.chars() {
         match ch {
@@ -100,6 +103,12 @@ mod tests {
         fn flush(&mut self) -> io::Result<()> {
             Ok(())
         }
+    }
+
+    #[test]
+    fn json_escape_handles_specials() {
+        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        assert_eq!(json_escape("\u{1}"), "\\u0001");
     }
 
     #[test]

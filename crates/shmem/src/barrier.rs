@@ -22,6 +22,7 @@
 //! barrier" teaching bug into an actionable error instead of a hang.
 
 use crate::pad::CachePadded;
+use crate::rules::waited_too_long;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
@@ -102,10 +103,7 @@ impl<'a> SpinGuard<'a> {
             }
             if Instant::now() > self.deadline {
                 self.abort.store(true, Ordering::Relaxed);
-                panic!(
-                    "O NOES! [RUN0191] PE {} WAITED 2 LONG AT {} — SUM PE NEVER SHOWED UP (DEADLOCK?)",
-                    self.pe, self.what
-                );
+                panic!("{}", waited_too_long(self.pe, self.what));
             }
             std::thread::yield_now();
         } else {

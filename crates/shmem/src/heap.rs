@@ -5,6 +5,7 @@
 //! (Figure 1 of the paper): the same address names storage on every PE,
 //! and pairing it with a PE id selects whose instance you touch.
 
+use crate::rules::out_of_heap;
 use std::sync::atomic::AtomicU64;
 
 /// A symmetric address: a word offset into every PE's heap region.
@@ -44,11 +45,7 @@ impl Heap {
     pub(crate) fn word(&self, addr: SymAddr) -> &AtomicU64 {
         match self.words.get(addr.index()) {
             Some(w) => w,
-            None => panic!(
-                "O NOES! [RUN0100] SYMMETRIC ADDRESS {} IZ OUTSIDE DA HEAP ({} WORDS)",
-                addr.0,
-                self.words.len()
-            ),
+            None => panic!("{}", out_of_heap(addr, self.words.len())),
         }
     }
 

@@ -49,6 +49,7 @@ pub mod latency;
 pub mod lock;
 pub mod pad;
 pub mod rng;
+pub mod rules;
 pub mod shard;
 pub mod stats;
 pub mod substrate;

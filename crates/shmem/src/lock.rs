@@ -19,6 +19,7 @@
 //! the mistakes students actually make are the ones worth catching.
 
 use crate::barrier::SpinGuard;
+use crate::rules::{lock_owner, unlock_fault};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Words of symmetric storage one lock occupies:
@@ -72,19 +73,13 @@ pub(crate) struct LockWords<'a> {
     pub serving: &'a AtomicU64,
 }
 
-/// Owner-word encoding: 0 = free, `pe + 1` = held by `pe`.
-#[inline]
-fn encode(pe: usize) -> u64 {
-    pe as u64 + 1
-}
-
 impl<'a> LockWords<'a> {
     /// Non-blocking acquire. Returns true on success.
     pub(crate) fn try_acquire(&self, kind: LockKind, me: usize) -> bool {
         match kind {
             LockKind::SpinCas => self
                 .owner
-                .compare_exchange(0, encode(me), Ordering::Acquire, Ordering::Relaxed)
+                .compare_exchange(0, lock_owner(me), Ordering::Acquire, Ordering::Relaxed)
                 .is_ok(),
             LockKind::Ticket => {
                 let t = self.serving.load(Ordering::Acquire);
@@ -92,7 +87,7 @@ impl<'a> LockWords<'a> {
                 {
                     // next == serving == t: the queue was empty and we
                     // took ticket t, which is already being served.
-                    self.owner.store(encode(me), Ordering::Relaxed);
+                    self.owner.store(lock_owner(me), Ordering::Relaxed);
                     true
                 } else {
                     false
@@ -109,7 +104,12 @@ impl<'a> LockWords<'a> {
                 loop {
                     if self
                         .owner
-                        .compare_exchange_weak(0, encode(me), Ordering::Acquire, Ordering::Relaxed)
+                        .compare_exchange_weak(
+                            0,
+                            lock_owner(me),
+                            Ordering::Acquire,
+                            Ordering::Relaxed,
+                        )
                         .is_ok()
                     {
                         return;
@@ -127,22 +127,15 @@ impl<'a> LockWords<'a> {
                 while self.serving.load(Ordering::Acquire) != t {
                     guard.tick();
                 }
-                self.owner.store(encode(me), Ordering::Relaxed);
+                self.owner.store(lock_owner(me), Ordering::Relaxed);
             }
         }
     }
 
     /// Release. Panics if `me` does not hold the lock.
     pub(crate) fn release(&self, kind: LockKind, me: usize) {
-        let holder = self.owner.load(Ordering::Relaxed);
-        if holder != encode(me) {
-            if holder == 0 {
-                panic!("O NOES! [RUN0180] PE {me} DID DUN MESIN WIF BUT NOBODY WUZ MESIN WIF IT");
-            }
-            panic!(
-                "O NOES! [RUN0181] PE {me} TRIED TO DUN MESIN WIF A LOCK HELD BY PE {}",
-                holder - 1
-            );
+        if let Some(fault) = unlock_fault(me, self.owner.load(Ordering::Relaxed)) {
+            panic!("{fault}");
         }
         match kind {
             LockKind::SpinCas => self.owner.store(0, Ordering::Release),

@@ -14,9 +14,12 @@ use crate::latency::LatencyModel;
 use crate::lock::{LockKind, LockWords, LOCK_WORDS};
 use crate::pad::CachePadded;
 use crate::rng::PeRng;
+use crate::rules::{
+    panic_message, pe_rng, pe_tracer, virtual_charge_ns, AllocLog, AT_BARRIER, AT_LOCK,
+};
 use crate::stats::{CommStats, StatCells};
 use crate::WaitCmp;
-use lol_trace::{ClockMode, EventKind, PeTrace, TraceBuffer, VIRT_BARRIER_NS, VIRT_OP_NS};
+use lol_trace::{ClockMode, EventKind, PeTrace, TraceBuffer, VIRT_BARRIER_NS};
 use std::cell::{Cell, RefCell};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -194,8 +197,8 @@ pub struct World {
     coll: Box<[CachePadded<AtomicU64>]>,
     /// Set when any PE fails; spinners notice and bail out.
     abort: AtomicBool,
-    /// Collective-allocation validation: words requested per call index.
-    alloc_log: Mutex<Vec<u32>>,
+    /// Collective-allocation sizes, offsets and cursor.
+    alloc_log: Mutex<AllocLog>,
     /// Virtual-clock publication slots, double-buffered by barrier
     /// parity: at barrier episode `k`, every PE publishes its logical
     /// clock to `vclock_pub[k % 2][pe]`, waits, then adopts the
@@ -219,7 +222,7 @@ impl World {
             dissem: DisseminationBarrier::new(cfg.n_pes),
             coll: (0..cfg.n_pes).map(|_| CachePadded::new(AtomicU64::new(0))).collect(),
             abort: AtomicBool::new(false),
-            alloc_log: Mutex::new(Vec::new()),
+            alloc_log: Mutex::new(AllocLog::default()),
             vclock_pub: [slots(), slots()],
             t0: Instant::now(),
             heaps,
@@ -241,22 +244,12 @@ impl World {
             world: self,
             sense: Cell::new(false),
             generation: Cell::new(0),
-            heap_cursor: Cell::new(0),
             alloc_seq: Cell::new(0),
-            rng: RefCell::new(PeRng::seed_from_u64(
-                self.cfg.seed ^ (id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-            )),
+            rng: RefCell::new(pe_rng(&self.cfg, id)),
             stats: StatCells::default(),
             vclock: Cell::new(0),
             bar_parity: Cell::new(false),
-            tracer: RefCell::new(if self.cfg.trace {
-                // Sampled-out PEs get a zero-capacity buffer: they
-                // record nothing but count every event as dropped.
-                let cap = if self.cfg.traces_pe(id) { self.cfg.trace_capacity } else { 0 };
-                Some(TraceBuffer::new(id, cap))
-            } else {
-                None
-            }),
+            tracer: RefCell::new(pe_tracer(&self.cfg, id)),
         }
     }
 
@@ -354,16 +347,6 @@ where
     }
 }
 
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "PE panicked with a non-string payload".to_string()
-    }
-}
-
 /// One processing element's handle onto the job: its identity, its RNG,
 /// and its window onto the partitioned global address space.
 ///
@@ -374,7 +357,6 @@ pub struct Pe<'w> {
     world: &'w World,
     sense: Cell<bool>,
     generation: Cell<u64>,
-    heap_cursor: Cell<usize>,
     alloc_seq: Cell<usize>,
     rng: RefCell<PeRng>,
     stats: StatCells,
@@ -446,10 +428,8 @@ impl<'w> Pe<'w> {
         match self.world.cfg.clock {
             ClockMode::Wall => self.world.cfg.latency.charge(self.id, target),
             ClockMode::Virtual => {
-                if target != self.id {
-                    let delay = self.world.cfg.latency.delay_ns(self.id, target);
-                    self.vclock.set(self.vclock.get() + delay + VIRT_OP_NS);
-                }
+                let cost = virtual_charge_ns(&self.world.cfg.latency, self.id, target);
+                self.vclock.set(self.vclock.get() + cost);
             }
         }
     }
@@ -490,42 +470,20 @@ impl<'w> Pe<'w> {
     /// `shmem_malloc`.
     pub fn shmalloc(&self, words: usize) -> SymAddr {
         let seq = self.alloc_seq.get();
-        {
-            // `unwrap_or_else(into_inner)`: a PE that fails validation
-            // panics while holding the lock; later PEs must still read
-            // the (consistent) log rather than propagate the poison.
-            let mut log = self.world.alloc_log.lock().unwrap_or_else(|e| e.into_inner());
-            if let Some(&prev) = log.get(seq) {
-                if prev as usize != words {
-                    self.world.abort_job();
-                    panic!(
-                        "O NOES! [RUN0110] COLLECTIVE ALLOCASHUN MISMATCH AT CALL #{seq}: \
-                         PE {} WANTS {words} WORDS BUT DA JOB ALREADY AGREED ON {prev}",
-                        self.id
-                    );
-                }
-            } else {
-                log.push(words as u32);
-            }
-        }
+        let claim = self.world.alloc_log.lock().expect("claims never panic").claim(
+            seq,
+            self.id,
+            words,
+            self.world.cfg.heap_words,
+        );
+        let addr = claim.unwrap_or_else(|fault| self.fail(fault));
         self.alloc_seq.set(seq + 1);
-        let offset = self.heap_cursor.get();
-        let end = offset + words;
-        if end > self.world.cfg.heap_words {
-            self.world.abort_job();
-            panic!(
-                "O NOES! [RUN0111] NOT ENUF SYMMETRIC HEAP: PE {} NEEDS {end} WORDS \
-                 BUT ONLY HAS {} (GROW heap_words)",
-                self.id, self.world.cfg.heap_words
-            );
-        }
-        self.heap_cursor.set(end);
         // Internal fence: counted in the stats (it *is* a barrier), but
         // untraced and free in virtual time — the C backend's one
         // registration barrier behaves identically, so event streams
         // and virtual walls stay backend-equivalent.
         self.barrier_episode(false);
-        SymAddr(offset as u32)
+        addr
     }
 
     /// Allocate a lock's worth of symmetric words (collective).
@@ -701,12 +659,12 @@ impl<'w> Pe<'w> {
         match self.world.cfg.barrier {
             BarrierKind::Centralized => {
                 let mut sense = self.sense.get();
-                self.world.central.wait(&mut sense, self.guard("HUGZ (barrier)"));
+                self.world.central.wait(&mut sense, self.guard(AT_BARRIER));
                 self.sense.set(sense);
             }
             BarrierKind::Dissemination => {
                 let mut gen = self.generation.get();
-                let mut guard = self.guard("HUGZ (barrier)");
+                let mut guard = self.guard(AT_BARRIER);
                 self.world.dissem.wait(self.id, &mut gen, &mut guard);
                 self.generation.set(gen);
             }
@@ -759,11 +717,7 @@ impl<'w> Pe<'w> {
     pub fn lock(&self, addr: SymAddr, target: usize) {
         StatCells::bump(&self.stats.lock_acquires);
         self.charge(target);
-        self.lock_words(addr, target).acquire(
-            self.world.cfg.lock,
-            self.id,
-            self.guard("IM SRSLY MESIN WIF (lock)"),
-        );
+        self.lock_words(addr, target).acquire(self.world.cfg.lock, self.id, self.guard(AT_LOCK));
         self.trace(EventKind::LockAcquire, target, addr, 0);
     }
 

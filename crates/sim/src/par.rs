@@ -14,16 +14,25 @@
 //!
 //! Each phase runs one segment per live PE, sharded across workers by
 //! a [`ShardPlan`]; a single-threaded merge then settles the window
-//! boundary: it validates collective allocations in canonical PE
-//! order, advances the release clock, and re-opens every shard. The
-//! merge sees per-shard "inboxes" — arrival records, allocation
-//! requests, and errors — and processes them in canonical
-//! `(t_ns, tie, pe)` order, which within a window (all arrivals share
-//! the window's release time, and the tie-break is the PE id) is just
-//! ascending PE. That makes every merge decision — error attribution,
-//! allocation offsets, the episode's synchronized clock — identical
-//! to the sequential scheduler's, which is how `jobs = N` stays
+//! boundary: it claims collective allocations in canonical PE order,
+//! advances the release clock, and re-opens every shard. The merge
+//! sees per-shard "inboxes" — arrival records, allocation requests,
+//! and errors — and processes them in canonical `(t_ns, tie, pe)`
+//! order, which within a window (all arrivals share the window's
+//! release time, and the tie-break is the PE id) is just ascending PE.
+//! That makes every merge decision — error attribution, allocation
+//! offsets, the episode's synchronized clock — identical to the
+//! sequential scheduler's, which is how `jobs = N` stays
 //! byte-identical to `jobs = 1`.
+//!
+//! ## One substrate, two schedulers
+//!
+//! There is no sharded substrate of its own: the workers drive the
+//! same `SimPe` handle, per-PE SoA state (`ShardLocal`) and heap store
+//! (`World`) that the sequential scheduler uses — it simply holds one
+//! shard spanning every PE. The accounting, allocation and fault
+//! rules behind them come from `lol_shmem::rules`, shared with the
+//! threaded world.
 //!
 //! ## Determinism argument
 //!
@@ -44,368 +53,32 @@
 //! statically and uses the sequential scheduler, whatever `sim_jobs`
 //! says.
 
-use crate::{make_rng, panic_message, Block, SchedStats, SimReport};
+use crate::substrate::{deadlock, report, Shard, World};
+use crate::{SchedStats, SimReport};
 use lol_shmem::shard::ShardPlan;
-use lol_shmem::substrate::{Progress, Substrate};
-use lol_shmem::{CommStats, PeTrace, ShmemConfig, SpmdError, SymAddr, TraceBuffer};
-use lol_trace::{EventKind, VIRT_BARRIER_NS, VIRT_OP_NS};
-use lol_vm::machine::{Machine, Step};
+use lol_shmem::{ShmemConfig, SpmdError};
+use lol_vm::machine::Machine;
 use lol_vm::Module;
-use std::cell::RefCell;
-use std::collections::HashMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
-
-/// Heap state shared by every worker during a phase; mutated only by
-/// the single-threaded merge between phases.
-struct ParWorld {
-    heap_words: usize,
-    /// Per-PE symmetric heaps, sized to the allocation cursor at the
-    /// last merge. Word-granular `Relaxed` atomics — the exact memory
-    /// model of the threaded world's heap.
-    heaps: Vec<Box<[AtomicU64]>>,
-    /// Sidecar for addresses beyond the cursor (legal, like the
-    /// sequential heap's lazy growth); entries migrate into `heaps`
-    /// when a merge advances the cursor past them.
-    overflow: Mutex<HashMap<(u32, u32), u64>>,
-    /// Collective-allocation log (words per call) and resolved
-    /// offsets — read-only during phases, appended at merges.
-    alloc_log: Vec<u32>,
-    alloc_offsets: Vec<u32>,
-    cursor: usize,
-    /// The synchronized clock of the last completed episode; every PE
-    /// lazily max-syncs to it at its next segment.
-    release_time: u64,
-}
-
-impl ParWorld {
-    fn check(&self, addr: SymAddr) -> usize {
-        let idx = addr.index();
-        if idx >= self.heap_words {
-            panic!(
-                "O NOES! [RUN0100] SYMMETRIC ADDRESS {} IZ OUTSIDE DA HEAP ({} WORDS)",
-                addr.0, self.heap_words
-            );
-        }
-        idx
-    }
-
-    fn load(&self, pe: usize, addr: SymAddr) -> u64 {
-        let idx = self.check(addr);
-        if let Some(w) = self.heaps[pe].get(idx) {
-            w.load(Ordering::Relaxed)
-        } else {
-            *self.overflow.lock().unwrap().get(&(pe as u32, idx as u32)).unwrap_or(&0)
-        }
-    }
-
-    fn store(&self, pe: usize, addr: SymAddr, value: u64) {
-        let idx = self.check(addr);
-        if let Some(w) = self.heaps[pe].get(idx) {
-            w.store(value, Ordering::Relaxed);
-        } else {
-            self.overflow.lock().unwrap().insert((pe as u32, idx as u32), value);
-        }
-    }
-
-    /// Resize every heap to the (grown) cursor and migrate overflow
-    /// words the cursor has caught up with. Merge-only.
-    fn grow_heaps(&mut self) {
-        let cur = self.cursor;
-        for h in &mut self.heaps {
-            if h.len() < cur {
-                let mut grown: Vec<AtomicU64> = Vec::with_capacity(cur);
-                for w in h.iter() {
-                    grown.push(AtomicU64::new(w.load(Ordering::Relaxed)));
-                }
-                grown.resize_with(cur, || AtomicU64::new(0));
-                *h = grown.into_boxed_slice();
-            }
-        }
-        let mut ov = self.overflow.lock().unwrap();
-        let caught: Vec<(u32, u32)> =
-            ov.keys().copied().filter(|&(_, idx)| (idx as usize) < cur).collect();
-        for key in caught {
-            let v = ov.remove(&key).expect("key was just listed");
-            self.heaps[key.0 as usize][key.1 as usize].store(v, Ordering::Relaxed);
-        }
-    }
-}
-
-/// One PE's first arrival record for a phase: `(pe, explicit)`.
-type Arrival = (usize, bool);
-
-/// Per-shard mutable state: SoA vectors indexed by *local* member
-/// position, plus the phase "inbox" the merge consumes.
-struct ShardLocal {
-    vclock: Vec<u64>,
-    stats: Vec<CommStats>,
-    rng: Vec<crate::PeRng>,
-    tracers: Vec<TraceBuffer>,
-    block: Vec<Block>,
-    alloc_seq: Vec<u32>,
-    outputs: Vec<String>,
-    done: Vec<bool>,
-    done_count: usize,
-    // ---- phase inbox, reset by `begin_phase` ----
-    segments: u64,
-    arrivals: usize,
-    arrive_max: u64,
-    first_arrival: Option<Arrival>,
-    /// At most one per member per phase (`shmalloc` parks): `(seq,
-    /// pe, words)`, pe-ascending because members run in order.
-    alloc_reqs: Vec<(u32, usize, usize)>,
-    error: Option<(usize, String)>,
-}
-
-impl ShardLocal {
-    fn new(members: &[usize], cfg: &ShmemConfig) -> Self {
-        let k = members.len();
-        let tracers = if cfg.trace {
-            members
-                .iter()
-                .map(|&pe| {
-                    let cap = if cfg.traces_pe(pe) { cfg.trace_capacity } else { 0 };
-                    TraceBuffer::new(pe, cap)
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
-        ShardLocal {
-            vclock: vec![0; k],
-            stats: vec![CommStats::default(); k],
-            rng: members.iter().map(|&pe| make_rng(cfg, pe)).collect(),
-            tracers,
-            block: vec![Block::Run; k],
-            alloc_seq: vec![0; k],
-            outputs: vec![String::new(); k],
-            done: vec![false; k],
-            done_count: 0,
-            segments: 0,
-            arrivals: 0,
-            arrive_max: 0,
-            first_arrival: None,
-            alloc_reqs: Vec::new(),
-            error: None,
-        }
-    }
-
-    fn begin_phase(&mut self) {
-        self.segments = 0;
-        self.arrivals = 0;
-        self.arrive_max = 0;
-        self.first_arrival = None;
-        self.alloc_reqs.clear();
-        self.error = None;
-    }
-}
-
-/// One shard: its member PEs (ascending), their machines, and their
-/// SoA state. Owned by the orchestrator, lent to one worker per
-/// phase.
-struct Shard<'m> {
-    members: &'m [usize],
-    /// Created inside the shard's first phase so mega-scale machine
-    /// construction parallelizes too.
-    machines: Vec<Machine<'m>>,
-    local: RefCell<ShardLocal>,
-}
-
-/// One PE's substrate handle during a sharded phase.
-struct ParPe<'a> {
-    world: &'a ParWorld,
-    cfg: &'a ShmemConfig,
-    plan: &'a ShardPlan,
-    local: &'a RefCell<ShardLocal>,
-    /// Local member index within the shard.
-    li: usize,
-    pe: usize,
-}
-
-impl ParPe<'_> {
-    fn charge(&self, l: &mut ShardLocal, target: usize) {
-        if target != self.pe {
-            let delay = self.cfg.latency.delay_ns(self.pe, target);
-            l.vclock[self.li] += delay + VIRT_OP_NS;
-        }
-    }
-
-    fn trace(&self, l: &mut ShardLocal, kind: EventKind, peer: usize, addr: SymAddr, bytes: u32) {
-        if l.tracers.is_empty() {
-            return;
-        }
-        let now = l.vclock[self.li];
-        l.tracers[self.li].record(kind, peer, addr.0, bytes, now);
-    }
-
-    /// Record this PE's arrival at the window boundary; the merge
-    /// counts arrivals across shards and completes the episode.
-    fn enter_barrier(&self, l: &mut ShardLocal, explicit: bool) {
-        l.stats[self.li].barriers += 1;
-        l.arrivals += 1;
-        l.arrive_max = l.arrive_max.max(l.vclock[self.li]);
-        if l.first_arrival.is_none() {
-            l.first_arrival = Some((self.pe, explicit));
-        }
-        l.block[self.li] = Block::BarrierWait;
-    }
-}
-
-impl Substrate for ParPe<'_> {
-    fn id(&self) -> usize {
-        self.pe
-    }
-
-    fn n_pes(&self) -> usize {
-        self.cfg.n_pes
-    }
-
-    fn shmalloc(&self, words: usize) -> Progress<SymAddr> {
-        let mut l = self.local.borrow_mut();
-        if l.block[self.li] == Block::BarrierDone {
-            l.block[self.li] = Block::Run;
-            let seq = l.alloc_seq[self.li] as usize - 1;
-            return Progress::Ready(SymAddr(self.world.alloc_offsets[seq]));
-        }
-        // First attempt: park at the allocation fence and hand the
-        // request to the merge, which validates all of them in
-        // canonical PE order (so RUN0110/RUN0111 attribution matches
-        // the sequential scheduler exactly).
-        let seq = l.alloc_seq[self.li];
-        l.alloc_seq[self.li] = seq + 1;
-        l.alloc_reqs.push((seq, self.pe, words));
-        self.enter_barrier(&mut l, false);
-        Progress::Pending
-    }
-
-    fn put_u64(&self, addr: SymAddr, target: usize, value: u64) {
-        let mut l = self.local.borrow_mut();
-        if target == self.pe {
-            l.stats[self.li].local_puts += 1;
-        } else {
-            l.stats[self.li].remote_puts += 1;
-        }
-        self.charge(&mut l, target);
-        self.world.store(target, addr, value);
-        if target != self.pe {
-            self.trace(&mut l, EventKind::Put, target, addr, 8);
-        }
-    }
-
-    fn get_u64(&self, addr: SymAddr, target: usize) -> u64 {
-        let mut l = self.local.borrow_mut();
-        if target == self.pe {
-            l.stats[self.li].local_gets += 1;
-        } else {
-            l.stats[self.li].remote_gets += 1;
-        }
-        self.charge(&mut l, target);
-        let v = self.world.load(target, addr);
-        if target != self.pe {
-            self.trace(&mut l, EventKind::Get, target, addr, 8);
-        }
-        v
-    }
-
-    fn barrier(&self) -> Progress<()> {
-        let mut l = self.local.borrow_mut();
-        if l.block[self.li] == Block::BarrierDone {
-            l.block[self.li] = Block::Run;
-            self.trace(&mut l, EventKind::BarrierExit, self.pe, SymAddr(0), 0);
-            return Progress::Ready(());
-        }
-        self.trace(&mut l, EventKind::BarrierEnter, self.pe, SymAddr(0), 0);
-        self.enter_barrier(&mut l, true);
-        Progress::Pending
-    }
-
-    fn lock(&self, _addr: SymAddr, _target: usize) -> Progress<()> {
-        unreachable!("lock-using modules are routed to the sequential scheduler")
-    }
-
-    fn try_lock(&self, _addr: SymAddr, _target: usize) -> bool {
-        unreachable!("lock-using modules are routed to the sequential scheduler")
-    }
-
-    fn unlock(&self, _addr: SymAddr, _target: usize) {
-        unreachable!("lock-using modules are routed to the sequential scheduler")
-    }
-
-    fn rand_i64(&self) -> i64 {
-        let mut l = self.local.borrow_mut();
-        l.rng[self.li].gen_i64_below(1i64 << 31)
-    }
-
-    fn rand_f64(&self) -> f64 {
-        let mut l = self.local.borrow_mut();
-        l.rng[self.li].gen_unit_f64()
-    }
-
-    fn shard_of(&self, pe: usize) -> usize {
-        self.plan.shard_of(pe)
-    }
-}
 
 /// One shard's phase: run one segment per live member, in ascending
 /// member order, stopping at the first error.
 fn run_phase<'m>(
     shard: &mut Shard<'m>,
-    world: &ParWorld,
+    world: &World,
     cfg: &ShmemConfig,
-    plan: &ShardPlan,
     module: &'m Module,
     input: &'m [String],
 ) {
-    if shard.machines.is_empty() && !shard.members.is_empty() {
+    if shard.machines.is_empty() {
         shard.machines = shard.members.iter().map(|_| Machine::new(module, input)).collect();
     }
-    shard.local.get_mut().begin_phase();
     for li in 0..shard.members.len() {
-        let pe = shard.members[li];
-        {
-            let mut l = shard.local.borrow_mut();
-            if l.done[li] {
-                continue;
-            }
-            debug_assert!(
-                matches!(l.block[li], Block::Run | Block::BarrierDone),
-                "PE {pe} entered a phase still parked"
-            );
-            // Lazy clock max-sync to the last episode's release time
-            // (same rule as the sequential cohort pop).
-            l.vclock[li] = l.vclock[li].max(world.release_time);
-            l.segments += 1;
+        if shard.local.get_mut().done[li] {
+            continue;
         }
-        let sub = ParPe { world, cfg, plan, local: &shard.local, li, pe };
-        let machine = &mut shard.machines[li];
-        let step = catch_unwind(AssertUnwindSafe(|| machine.resume(&sub)));
-        let mut l = shard.local.borrow_mut();
-        match step {
-            Err(payload) => {
-                l.error = Some((pe, panic_message(payload)));
-                break;
-            }
-            Ok(Err(e)) => {
-                l.error = Some((pe, e.to_string()));
-                break;
-            }
-            Ok(Ok(Step::Done)) => {
-                drop(l);
-                let out = shard.machines[li].take_output();
-                let mut l = shard.local.borrow_mut();
-                l.outputs[li] = out;
-                l.done[li] = true;
-                l.done_count += 1;
-            }
-            Ok(Ok(Step::Blocked)) => {
-                debug_assert_eq!(
-                    l.block[li],
-                    Block::BarrierWait,
-                    "machine blocked but the substrate did not park PE {pe}"
-                );
-            }
+        if let Err(message) = shard.resume(li, world, cfg, None) {
+            shard.local.get_mut().error = Some((shard.members[li], message));
+            break;
         }
     }
 }
@@ -418,49 +91,31 @@ pub(crate) fn run_sharded(
     input: &[String],
     plan: &ShardPlan,
 ) -> Result<SimReport, SpmdError> {
-    if let Err(e) = cfg.validate() {
-        panic!("{e}");
-    }
+    let mut world = World::new(cfg)?;
     let n = cfg.n_pes;
     debug_assert_eq!(plan.n_pes(), n);
     debug_assert!(plan.jobs() > 1);
-    let mut world = ParWorld {
-        heap_words: cfg.heap_words,
-        heaps: (0..n).map(|_| Vec::new().into_boxed_slice()).collect(),
-        overflow: Mutex::new(HashMap::new()),
-        alloc_log: Vec::new(),
-        alloc_offsets: Vec::new(),
-        cursor: 0,
-        release_time: 0,
-    };
-    let mut shards: Vec<Shard<'_>> = (0..plan.jobs())
-        .map(|s| Shard {
-            members: plan.members(s),
-            machines: Vec::new(),
-            local: RefCell::new(ShardLocal::new(plan.members(s), cfg)),
-        })
-        .collect();
-    let mut events = 0u64;
+    let mut shards: Vec<Shard<'_>> =
+        (0..plan.jobs()).map(|s| Shard::new(plan.members(s), cfg)).collect();
     let mut sched = SchedStats::default();
     loop {
         // ---- phase: one segment per live PE, sharded ----
         std::thread::scope(|scope| {
             let world = &world;
             for shard in shards.iter_mut().filter(|s| !s.members.is_empty()) {
-                scope.spawn(move || run_phase(shard, world, cfg, plan, module, input));
+                scope.spawn(move || run_phase(shard, world, cfg, module, input));
             }
         });
         // ---- merge: settle the window boundary, single-threaded ----
         sched.merge_windows += 1;
         let mut arrivals = 0usize;
         let mut arrive_max = 0u64;
-        let mut first_arrival: Option<Arrival> = None;
+        let mut first_arrival: Option<(usize, bool)> = None;
         let mut done_total = 0usize;
-        let mut run_err: Option<(usize, String)> = None;
+        let mut fault: Option<(usize, String)> = None;
         let mut reqs: Vec<(u32, usize, usize)> = Vec::new();
         for shard in &mut shards {
             let l = shard.local.get_mut();
-            events += l.segments;
             arrivals += l.arrivals;
             arrive_max = arrive_max.max(l.arrive_max);
             done_total += l.done_count;
@@ -470,125 +125,47 @@ pub(crate) fn run_sharded(
                 }
             }
             if let Some(e) = l.error.take() {
-                if run_err.as_ref().is_none_or(|r| e.0 < r.0) {
-                    run_err = Some(e);
+                if fault.as_ref().is_none_or(|f| e.0 < f.0) {
+                    fault = Some(e);
                 }
             }
             reqs.append(&mut l.alloc_reqs);
         }
-        // Allocation requests validated in canonical PE order — the
-        // exact call order the sequential scheduler would have seen,
-        // so mismatch/exhaustion diagnostics attribute identically.
+        // Allocation requests are claimed in canonical PE order — the
+        // exact call order the sequential scheduler sees — so
+        // mismatch/exhaustion faults attribute identically. A phase
+        // fault and an allocation fault race for the smaller PE, like
+        // the sequential scheduler stopping at the first faulting
+        // segment.
         reqs.sort_unstable_by_key(|&(_, pe, _)| pe);
-        let mut alloc_err: Option<(usize, String)> = None;
-        for &(seq, pe, words) in &reqs {
-            let seq = seq as usize;
-            if let Some(&prev) = world.alloc_log.get(seq) {
-                if prev as usize != words {
-                    alloc_err = Some((
-                        pe,
-                        format!(
-                            "O NOES! [RUN0110] COLLECTIVE ALLOCASHUN MISMATCH AT CALL \
-                             #{seq}: PE {pe} WANTS {words} WORDS BUT DA JOB ALREADY \
-                             AGREED ON {prev}"
-                        ),
-                    ));
-                    break;
-                }
-            } else {
-                world.alloc_log.push(words as u32);
+        for (seq, pe, words) in reqs {
+            if fault.as_ref().is_some_and(|f| f.0 < pe) {
+                break;
             }
-            if world.alloc_offsets.get(seq).is_none() {
-                let off = world.cursor;
-                let end = off + words;
-                if end > cfg.heap_words {
-                    alloc_err = Some((
-                        pe,
-                        format!(
-                            "O NOES! [RUN0111] NOT ENUF SYMMETRIC HEAP: PE {pe} NEEDS \
-                             {end} WORDS BUT ONLY HAS {} (GROW heap_words)",
-                            cfg.heap_words
-                        ),
-                    ));
-                    break;
-                }
-                world.cursor = end;
-                world.alloc_offsets.push(off as u32);
+            if let Err(message) = world.alloc.claim(seq as usize, pe, words, cfg.heap_words) {
+                fault = Some((pe, message));
+                break;
             }
         }
-        // A phase error surfaces at its PE's segment, an allocation
-        // error at the requesting PE's — canonical order picks the
-        // smaller PE, like the sequential scheduler aborting at the
-        // first erroring segment.
-        if let Some((pe, message)) =
-            [run_err, alloc_err].into_iter().flatten().min_by_key(|&(pe, _)| pe)
-        {
+        if let Some((pe, message)) = fault {
             return Err(SpmdError { pe, message });
         }
         if done_total == n {
             break;
         }
-        if arrivals == n {
-            // Episode complete: grow the shared heaps to the new
-            // cursor, then release every PE through the window clock.
-            debug_assert_eq!(done_total, 0, "a done PE cannot also arrive");
-            sched.barrier_episodes += 1;
-            world.grow_heaps();
-            let explicit = first_arrival.map(|(_, e)| e).unwrap_or(false);
-            world.release_time = arrive_max + if explicit { VIRT_BARRIER_NS } else { 0 };
-            for shard in &mut shards {
-                for b in shard.local.get_mut().block.iter_mut() {
-                    *b = Block::BarrierDone;
-                }
-            }
-            continue;
+        if arrivals < n {
+            // Partial arrival with unfinished PEs: the job can never
+            // make progress again — the sequential scheduler's
+            // drained-queue deadlock, at the same first unfinished PE.
+            return Err(deadlock(&mut shards));
         }
-        // Partial arrival with unfinished PEs: the job can never make
-        // progress again — the sequential scheduler's drained-queue
-        // deadlock, detected at the same first unfinished PE.
-        let (pe, what) = shards
-            .iter_mut()
-            .flat_map(|s| {
-                let l = s.local.get_mut();
-                s.members
-                    .iter()
-                    .zip(l.done.iter().zip(l.block.iter()))
-                    .filter(|(_, (&d, _))| !d)
-                    .map(|(&pe, (_, &b))| (pe, b))
-                    .collect::<Vec<_>>()
-            })
-            .min_by_key(|&(pe, _)| pe)
-            .expect("done_total < n leaves an unfinished PE");
-        let what = match what {
-            Block::LockWait | Block::LockDone => "IM SRSLY MESIN WIF (lock)",
-            _ => "HUGZ (barrier)",
-        };
-        return Err(SpmdError {
-            pe,
-            message: format!(
-                "O NOES! [RUN0191] PE {pe} WAITED 2 LONG AT {what} — SUM PE NEVER SHOWED UP \
-                 (DEADLOCK?)"
-            ),
-        });
-    }
-    // ---- assemble, scattering shard-local state back to PE order ----
-    let mut outputs = vec![String::new(); n];
-    let mut stats = vec![CommStats::default(); n];
-    let mut virtual_ns = vec![0u64; n];
-    let mut traces: Vec<Option<PeTrace>> = (0..n).map(|_| None).collect();
-    for shard in &mut shards {
-        let l = shard.local.get_mut();
-        let tracers = std::mem::take(&mut l.tracers);
-        for (li, &pe) in shard.members.iter().enumerate() {
-            outputs[pe] = std::mem::take(&mut l.outputs[li]);
-            stats[pe] = l.stats[li];
-            virtual_ns[pe] = l.vclock[li];
-        }
-        for (li, buf) in tracers.into_iter().enumerate() {
-            let pe = shard.members[li];
-            traces[pe] = Some(buf.finish(virtual_ns[pe]));
+        // Episode complete: release every PE through the window clock.
+        debug_assert_eq!(done_total, 0, "a done PE cannot also arrive");
+        sched.barrier_episodes += 1;
+        world.release(arrive_max, first_arrival.is_some_and(|(_, e)| e));
+        for shard in &mut shards {
+            shard.release();
         }
     }
-    let makespan_ns = virtual_ns.iter().copied().max().unwrap_or(0);
-    Ok(SimReport { outputs, stats, traces, virtual_ns, makespan_ns, events, sched })
+    Ok(report(shards, n, sched))
 }

@@ -60,3 +60,57 @@ fn lock_across_barrier_matches_threaded_for_both_kinds() {
         assert!(sim.is_ok(), "{kind:?}: sim failed: {:?}", sim.err());
     }
 }
+
+/// PE1: lock L@0, HUGZ, unlock. PE0: HUGZ, lock L@0, unlock. After
+/// the barrier PE0 resumes first and queues behind PE1, so the release
+/// must hand the lock over — for a ticket lock, to the waiter holding
+/// the ticket now being served.
+fn waiter_module() -> Module {
+    Module {
+        consts: vec![Value::Numbr(0)],
+        main: Chunk {
+            code: vec![
+                Op::Me,
+                Op::JumpIfFalse(9),
+                // PE1 (truthy id) path: lock held across the barrier.
+                Op::Const(0),
+                Op::PushBff,
+                Op::LockAcquire { off: 0, remote: true },
+                Op::Barrier,
+                Op::LockRelease { off: 0, remote: true },
+                Op::PopBff,
+                Op::Halt,
+                // PE0 path: contends after the barrier.
+                Op::Barrier,
+                Op::Const(0),
+                Op::PushBff,
+                Op::LockAcquire { off: 0, remote: true },
+                Op::LockRelease { off: 0, remote: true },
+                Op::PopBff,
+                Op::Halt,
+            ],
+            n_slots: 1,
+            n_arrays: 0,
+        },
+        funcs: vec![],
+        shared_words: 3,
+    }
+}
+
+#[test]
+fn queued_waiter_is_granted_for_both_kinds() {
+    for kind in LockKind::ALL {
+        let m = waiter_module();
+        let c = ShmemConfig::new(2).clock(ClockMode::Virtual).lock(kind);
+        let threaded = run_spmd(c.clone(), |pe| {
+            lol_vm::run_on_pe(&m, pe, &[]).unwrap();
+            (pe.stats(), pe.virtual_ns())
+        })
+        .unwrap();
+        let sim = run_module(&m, &c, &[]).unwrap_or_else(|e| panic!("{kind:?}: {e}"));
+        let (stats, clocks): (Vec<_>, Vec<_>) = threaded.into_iter().unzip();
+        assert_eq!(sim.stats, stats, "{kind:?}");
+        assert_eq!(sim.virtual_ns, clocks, "{kind:?}");
+        assert_eq!(sim.sched.heap_peak, 1, "{kind:?}: the hand-off went through the event heap");
+    }
+}
