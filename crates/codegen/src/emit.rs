@@ -6,9 +6,20 @@
 //! rides on the emitted `lol_value_t` runtime. User identifiers are
 //! prefixed (`v_`, `g_`, `f_`) so they can never collide with C
 //! keywords or the runtime.
+//!
+//! Typed lowering: every expression carries a static C type ([`CTy`]).
+//! Where the type is pinned at compile time — `ITZ SRSLY A TROOF|NUMBR|
+//! NUMBAR` locals, NUMBR/NUMBAR arrays, shared cells, literals, `ME`,
+//! `MAH FRENZ`, `WHATEVR`/`WHATEVAR` and loop counters the body never
+//! assigns — values live in native `int`/`long long`/`double` and
+//! operators lower to native C (NUMBR ops through the wrapping `lol_i*`
+//! helpers, so no signed-overflow UB). Everything else (`IT`, untyped
+//! variables, YARNs, function parameters and returns) stays boxed in
+//! `lol_value_t`.
 
 use crate::runtime::LOL_RUNTIME;
 use lol_ast::diag::Diagnostic;
+use lol_ast::visit::{walk_lvalue, Visitor};
 use lol_ast::*;
 use lol_sema::{Analysis, SharedKind, SharedVar};
 use std::collections::HashMap;
@@ -16,11 +27,100 @@ use std::fmt::Write as _;
 
 type CResult<T> = Result<T, Diagnostic>;
 
+/// The static C type of an emitted expression.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum CTy {
+    /// `long long` (a NUMBR).
+    Int,
+    /// `double` (a NUMBAR).
+    Dbl,
+    /// `int` holding 0 or 1 (a TROOF).
+    Bool,
+    /// `lol_value_t` (type known only at run time).
+    Boxed,
+}
+
+/// A C expression and its static type.
+#[derive(Clone, Debug)]
+struct CExpr {
+    c: String,
+    ty: CTy,
+}
+
+impl CExpr {
+    fn new(c: impl Into<String>, ty: CTy) -> Self {
+        CExpr { c: c.into(), ty }
+    }
+
+    /// The value as a `lol_value_t`.
+    fn boxed(self) -> String {
+        match self.ty {
+            CTy::Int => format!("lol_from_int({})", self.c),
+            CTy::Dbl => format!("lol_from_dbl({})", self.c),
+            CTy::Bool => format!("lol_from_bool({})", self.c),
+            CTy::Boxed => self.c,
+        }
+    }
+
+    /// The value coerced to NUMBR, as a `long long`.
+    fn int(self) -> String {
+        match self.ty {
+            CTy::Int => self.c,
+            CTy::Dbl => format!("lol_dtoi({})", self.c),
+            CTy::Bool => format!("(long long)({})", self.c),
+            CTy::Boxed => format!("lol_to_int({})", self.c),
+        }
+    }
+
+    /// The value coerced to NUMBAR, as a `double`.
+    fn dbl(self) -> String {
+        match self.ty {
+            CTy::Int | CTy::Bool => format!("(double)({})", self.c),
+            CTy::Dbl => self.c,
+            CTy::Boxed => format!("lol_to_dbl({})", self.c),
+        }
+    }
+
+    /// The value coerced to TROOF, as an `int` 0/1.
+    fn truth(self) -> String {
+        match self.ty {
+            CTy::Int => format!("({} != 0)", self.c),
+            CTy::Dbl => format!("({} != 0.0)", self.c),
+            CTy::Bool => self.c,
+            CTy::Boxed => format!("lol_to_bool({})", self.c),
+        }
+    }
+
+    /// The value coerced to `ty`, as that type's C representation.
+    fn to(self, ty: CTy) -> String {
+        match ty {
+            CTy::Int => self.int(),
+            CTy::Dbl => self.dbl(),
+            CTy::Bool => self.truth(),
+            CTy::Boxed => self.boxed(),
+        }
+    }
+}
+
 /// How a name resolves for the emitter.
-#[derive(Clone)]
+#[derive(Clone, Copy)]
 enum CKind {
-    Scalar { pinned: Option<LolType> },
-    Array,
+    /// A scalar of C type `ty`; boxed `SRSLY` scalars keep their
+    /// `pinned` type through a cast on every store.
+    Scalar { ty: CTy, pinned: Option<LolType> },
+    /// A local array: `lol_iarr_t`/`lol_darr_t` for `Int`/`Dbl`
+    /// elements, `lol_arr_t` for `Boxed` ones.
+    Array { elem: CTy },
+}
+
+/// The native C type of a TROOF, NUMBR or NUMBAR value.
+fn native(ty: LolType) -> Option<CTy> {
+    match ty {
+        LolType::Troof => Some(CTy::Bool),
+        LolType::Numbr => Some(CTy::Int),
+        LolType::Numbar => Some(CTy::Dbl),
+        LolType::Noob | LolType::Yarn => None,
+    }
 }
 
 pub(crate) struct CEmitter<'a> {
@@ -35,6 +135,8 @@ pub(crate) struct CEmitter<'a> {
     scopes: Vec<HashMap<Symbol, CKind>>,
     tmp: usize,
 }
+
+const BOXED: CKind = CKind::Scalar { ty: CTy::Boxed, pinned: None };
 
 impl<'a> CEmitter<'a> {
     pub(crate) fn new(analysis: &'a Analysis) -> Self {
@@ -114,7 +216,7 @@ impl<'a> CEmitter<'a> {
         self.line("LOL_SYM_REG_DONE();");
         self.line("LOL_SRAND(1337u + (unsigned)shmem_my_pe());");
         self.line("lol_value_t v_IT = lol_noob(); (void)v_IT;");
-        self.scopes.push(HashMap::new());
+        self.scopes.push(HashMap::from([(Symbol::it(), BOXED)]));
         for s in &program.body {
             self.stmt(s)?;
         }
@@ -142,10 +244,9 @@ impl<'a> CEmitter<'a> {
         self.indent += 1;
         self.line("lol_value_t v_IT = lol_noob(); (void)v_IT;");
         self.in_function = true;
-        self.scopes.push(HashMap::new());
-        for p in &f.params {
-            self.scopes.last_mut().unwrap().insert(p.sym, CKind::Scalar { pinned: None });
-        }
+        let mut scope = HashMap::from([(Symbol::it(), BOXED)]);
+        scope.extend(f.params.iter().map(|p| (p.sym, BOXED)));
+        self.scopes.push(scope);
         for s in &f.body {
             self.stmt(s)?;
         }
@@ -178,11 +279,37 @@ impl<'a> CEmitter<'a> {
     }
 
     fn lookup(&self, name: Symbol) -> Option<CKind> {
-        self.scopes.iter().rev().find_map(|s| s.get(&name)).cloned()
+        self.scopes.iter().rev().find_map(|s| s.get(&name)).copied()
+    }
+
+    fn declare(&mut self, name: Symbol, kind: CKind) {
+        self.scopes.last_mut().expect("a scope is always open").insert(name, kind);
+    }
+
+    /// The local binding `vr` names, unless it is a `UR` reference.
+    fn local(&self, vr: &VarRef, name: Symbol) -> Option<CKind> {
+        if vr.locality == Locality::Ur {
+            None
+        } else {
+            self.lookup(name)
+        }
     }
 
     fn shared(&self, name: Symbol) -> Option<&'a SharedVar> {
         self.analysis.shared.get(name)
+    }
+
+    fn shared_or_err(&self, name: Symbol, span: Span) -> CResult<&'a SharedVar> {
+        self.shared(name).ok_or_else(|| self.err("CGC0004", format!("WHO IZ {name}?"), span))
+    }
+
+    /// The length of shared array `name`.
+    fn shared_len(&self, name: Symbol, span: Span) -> CResult<(&'a SharedVar, usize)> {
+        let sv = self.shared_or_err(name, span)?;
+        match sv.kind {
+            SharedKind::Array { len } => Ok((sv, len)),
+            SharedKind::Scalar => Err(self.err("CGC0005", format!("{name} IZ A SCALAR"), span)),
+        }
     }
 
     fn named(&self, vr: &VarRef) -> CResult<Symbol> {
@@ -210,102 +337,82 @@ impl<'a> CEmitter<'a> {
 
     // -- expressions -----------------------------------------------------
 
-    fn expr(&mut self, e: &Expr) -> CResult<String> {
+    fn expr(&mut self, e: &Expr) -> CResult<CExpr> {
         Ok(match &e.kind {
             ExprKind::Lit(l) => self.literal(l)?,
             ExprKind::Var(vr) => self.var_read(vr)?,
             ExprKind::Index { arr, idx } => {
-                let i = self.expr(idx)?;
-                self.elem_read(arr, &format!("lol_to_int({i})"))?
+                let i = self.expr(idx)?.int();
+                self.elem_read(arr, &i)?
             }
             ExprKind::Bin { op, lhs, rhs } => {
                 let a = self.expr(lhs)?;
                 let b = self.expr(rhs)?;
-                match op {
-                    BinOp::Sum => format!("lol_sum({a}, {b})"),
-                    BinOp::Diff => format!("lol_diff({a}, {b})"),
-                    BinOp::Produkt => format!("lol_produkt({a}, {b})"),
-                    BinOp::Quoshunt => format!("lol_quoshunt({a}, {b})"),
-                    BinOp::Mod => format!("lol_mod({a}, {b})"),
-                    BinOp::BiggrOf => format!("lol_biggr({a}, {b})"),
-                    BinOp::SmallrOf => format!("lol_smallr({a}, {b})"),
-                    BinOp::BothSaem => format!("lol_from_bool(lol_saem({a}, {b}))"),
-                    BinOp::Diffrint => format!("lol_from_bool(!lol_saem({a}, {b}))"),
-                    BinOp::Bigger => format!("lol_bigger({a}, {b})"),
-                    BinOp::Smallr => format!("lol_smallr_than({a}, {b})"),
-                    BinOp::BothOf => {
-                        format!("lol_from_bool(lol_to_bool({a}) && lol_to_bool({b}))")
-                    }
-                    BinOp::EitherOf => {
-                        format!("lol_from_bool(lol_to_bool({a}) || lol_to_bool({b}))")
-                    }
-                    BinOp::WonOf => {
-                        format!("lol_from_bool(lol_to_bool({a}) ^ lol_to_bool({b}))")
-                    }
-                }
+                binop(*op, a, b)
             }
             ExprKind::Un { op, expr } => {
                 let v = self.expr(expr)?;
                 match op {
-                    UnOp::Not => format!("lol_not({v})"),
-                    UnOp::Squar => format!("lol_squar({v})"),
-                    UnOp::Unsquar => format!("lol_unsquar({v})"),
-                    UnOp::Flip => format!("lol_flip({v})"),
+                    UnOp::Not => CExpr::new(format!("(!{})", v.truth()), CTy::Bool),
+                    UnOp::Squar => match v.ty {
+                        CTy::Boxed => CExpr::new(format!("lol_squar({})", v.c), CTy::Boxed),
+                        CTy::Dbl => CExpr::new(format!("lol_dsquar({})", v.c), CTy::Dbl),
+                        CTy::Int | CTy::Bool => {
+                            CExpr::new(format!("lol_isquar({})", v.int()), CTy::Int)
+                        }
+                    },
+                    UnOp::Unsquar => CExpr::new(format!("sqrt({})", v.dbl()), CTy::Dbl),
+                    UnOp::Flip => CExpr::new(format!("(1.0 / {})", v.dbl()), CTy::Dbl),
                 }
             }
             ExprKind::Nary { op, args } => {
-                let parts: CResult<Vec<String>> = args.iter().map(|a| self.expr(a)).collect();
+                let parts: CResult<Vec<CExpr>> = args.iter().map(|a| self.expr(a)).collect();
                 let parts = parts?;
+                let logic = |sep: &str, parts: Vec<CExpr>| {
+                    let terms: Vec<String> = parts.into_iter().map(CExpr::truth).collect();
+                    CExpr::new(format!("({})", terms.join(sep)), CTy::Bool)
+                };
                 match op {
-                    NaryOp::Smoosh => parts
-                        .into_iter()
-                        .reduce(|acc, p| format!("lol_smoosh({acc}, {p})"))
-                        .unwrap_or_else(|| "lol_from_str(\"\")".to_string()),
-                    NaryOp::AllOf => format!(
-                        "lol_from_bool({})",
-                        parts
-                            .iter()
-                            .map(|p| format!("lol_to_bool({p})"))
-                            .collect::<Vec<_>>()
-                            .join(" && ")
-                    ),
-                    NaryOp::AnyOf => format!(
-                        "lol_from_bool({})",
-                        parts
-                            .iter()
-                            .map(|p| format!("lol_to_bool({p})"))
-                            .collect::<Vec<_>>()
-                            .join(" || ")
-                    ),
+                    NaryOp::Smoosh => smoosh(parts.into_iter().map(CExpr::boxed)),
+                    NaryOp::AllOf => logic(" && ", parts),
+                    NaryOp::AnyOf => logic(" || ", parts),
                 }
             }
             ExprKind::Cast { expr, ty } => {
                 let v = self.expr(expr)?;
-                format!("lol_cast({v}, {})", lol_ty_enum(*ty))
+                match native(*ty) {
+                    Some(cty) => CExpr::new(v.to(cty), cty),
+                    None => CExpr::new(
+                        format!("lol_cast({}, {})", v.boxed(), lol_ty_enum(*ty)),
+                        CTy::Boxed,
+                    ),
+                }
             }
             ExprKind::Call { name, args } => {
-                let parts: CResult<Vec<String>> = args.iter().map(|a| self.expr(a)).collect();
-                format!("f_{}({})", name.sym, parts?.join(", "))
+                let parts: CResult<Vec<String>> =
+                    args.iter().map(|a| self.expr(a).map(CExpr::boxed)).collect();
+                CExpr::new(format!("f_{}({})", name.sym, parts?.join(", ")), CTy::Boxed)
             }
-            ExprKind::Me => "lol_from_int(shmem_my_pe())".to_string(),
-            ExprKind::MahFrenz => "lol_from_int(shmem_n_pes())".to_string(),
-            ExprKind::Whatevr => "lol_whatevr()".to_string(),
-            ExprKind::Whatevar => "lol_whatevar()".to_string(),
+            ExprKind::Me => CExpr::new("shmem_my_pe()", CTy::Int),
+            ExprKind::MahFrenz => CExpr::new("shmem_n_pes()", CTy::Int),
+            ExprKind::Whatevr => CExpr::new("lol_whatevr()", CTy::Int),
+            ExprKind::Whatevar => CExpr::new("lol_whatevar()", CTy::Dbl),
         })
     }
 
-    fn literal(&mut self, l: &Lit) -> CResult<String> {
+    fn literal(&mut self, l: &Lit) -> CResult<CExpr> {
         Ok(match l {
             Lit::Numbr(n) => {
-                if *n == i64::MIN {
-                    "lol_from_int(-9223372036854775807LL - 1)".to_string()
+                let c = if *n == i64::MIN {
+                    "(-9223372036854775807LL - 1)".to_string()
                 } else {
-                    format!("lol_from_int({n}LL)")
-                }
+                    format!("{n}LL")
+                };
+                CExpr::new(c, CTy::Int)
             }
-            Lit::Numbar(f) => format!("lol_from_dbl({f:?})"),
-            Lit::Troof(b) => format!("lol_from_bool({})", *b as i32),
-            Lit::Noob => "lol_noob()".to_string(),
+            Lit::Numbar(f) => CExpr::new(format!("{f:?}"), CTy::Dbl),
+            Lit::Troof(b) => CExpr::new((*b as i32).to_string(), CTy::Bool),
+            Lit::Noob => CExpr::new("lol_noob()", CTy::Boxed),
             Lit::Yarn(parts) => {
                 let mut pieces = Vec::new();
                 for p in parts {
@@ -315,101 +422,87 @@ impl<'a> CEmitter<'a> {
                         }
                         YarnPart::Var(id) => {
                             let vr = VarRef::named(*id);
-                            let v = self.var_read(&vr)?;
+                            let v = self.var_read(&vr)?.boxed();
                             pieces.push(format!("lol_cast({v}, LOL_YARN)"));
                         }
                     }
                 }
-                pieces
-                    .into_iter()
-                    .reduce(|acc, p| format!("lol_smoosh({acc}, {p})"))
-                    .unwrap_or_else(|| "lol_from_str(\"\")".to_string())
+                smoosh(pieces.into_iter())
             }
         })
     }
 
-    /// Read a scalar variable as a `lol_value_t` C expression.
-    fn var_read(&mut self, vr: &VarRef) -> CResult<String> {
+    /// Read a scalar variable.
+    fn var_read(&mut self, vr: &VarRef) -> CResult<CExpr> {
         let name = self.named(vr)?;
-        if vr.locality != Locality::Ur {
-            if let Some(k) = self.lookup(name) {
-                return match k {
-                    CKind::Scalar { .. } => Ok(format!("v_{name}")),
-                    CKind::Array => {
-                        Err(self.err("CGC0003", format!("{name} IZ A WHOLE ARRAY"), vr.span))
-                    }
-                };
-            }
+        if let Some(k) = self.local(vr, name) {
+            return match k {
+                CKind::Scalar { ty, .. } => Ok(CExpr::new(format!("v_{name}"), ty)),
+                CKind::Array { .. } => {
+                    Err(self.err("CGC0003", format!("{name} IZ A WHOLE ARRAY"), vr.span))
+                }
+            };
         }
-        let sv = self
-            .shared(name)
-            .ok_or_else(|| self.err("CGC0004", format!("WHO IZ {name}?"), vr.span))?;
+        let sv = self.shared_or_err(name, vr.span)?;
         if matches!(sv.kind, SharedKind::Array { .. }) {
             return Err(self.err("CGC0003", format!("{name} IZ A WHOLE ARRAY"), vr.span));
         }
         let pe = self.bff_expr(vr)?;
         Ok(if vr.locality == Locality::Ur {
-            wrap_from(sv.ty, &format!("{}(&g_{name}, {pe})", shmem_get(sv.ty)))
+            cell(sv.ty, &format!("{}(&g_{name}, {pe})", shmem_get(sv.ty)))
         } else {
-            wrap_from(sv.ty, &format!("g_{name}"))
+            cell(sv.ty, &format!("g_{name}"))
         })
     }
 
     /// Read `arr'Z idx` where `idx_c` is a C `long long` expression.
-    fn elem_read(&mut self, arr: &VarRef, idx_c: &str) -> CResult<String> {
+    fn elem_read(&mut self, arr: &VarRef, idx_c: &str) -> CResult<CExpr> {
         let name = self.named(arr)?;
-        if arr.locality != Locality::Ur {
-            if let Some(CKind::Array) = self.lookup(name) {
-                return Ok(format!("lol_arr_get(&v_{name}, {idx_c})"));
+        match self.local(arr, name) {
+            Some(CKind::Array { elem }) => return Ok(arr_get(elem, &format!("v_{name}"), idx_c)),
+            Some(CKind::Scalar { .. }) => {
+                return Err(self.err("CGC0005", format!("{name} IZ NOT LOTZ A THINGZ"), arr.span))
             }
-            if self.lookup(name).is_some() {
-                return Err(self.err("CGC0005", format!("{name} IZ NOT LOTZ A THINGZ"), arr.span));
-            }
+            None => {}
         }
-        let sv = self
-            .shared(name)
-            .ok_or_else(|| self.err("CGC0004", format!("WHO IZ {name}?"), arr.span))?;
-        let SharedKind::Array { len } = sv.kind else {
-            return Err(self.err("CGC0005", format!("{name} IZ A SCALAR"), arr.span));
-        };
-        let cell = format!("g_{name}[lol_idx({idx_c}, {len})]");
+        let (sv, len) = self.shared_len(name, arr.span)?;
+        let slot = format!("g_{name}[lol_idx({idx_c}, {len})]");
         let pe = self.bff_expr(arr)?;
         Ok(if arr.locality == Locality::Ur {
-            wrap_from(sv.ty, &format!("{}(&{cell}, {pe})", shmem_get(sv.ty)))
+            cell(sv.ty, &format!("{}(&{slot}, {pe})", shmem_get(sv.ty)))
         } else {
-            wrap_from(sv.ty, &cell)
+            cell(sv.ty, &slot)
         })
     }
 
-    /// Emit a store of `val_c` (a `lol_value_t` expression) into a
-    /// scalar variable.
-    fn var_store(&mut self, vr: &VarRef, val_c: &str) -> CResult<()> {
+    /// Emit a store of `val` into a scalar variable.
+    fn var_store(&mut self, vr: &VarRef, val: CExpr) -> CResult<()> {
         let name = self.named(vr)?;
-        if vr.locality != Locality::Ur {
-            if let Some(k) = self.lookup(name) {
-                return match k {
-                    CKind::Scalar { pinned } => {
-                        let rhs = match pinned {
-                            Some(ty) => format!("lol_cast({val_c}, {})", lol_ty_enum(ty)),
-                            None => val_c.to_string(),
-                        };
-                        self.line(&format!("v_{name} = {rhs};"));
-                        Ok(())
-                    }
-                    CKind::Array => {
-                        Err(self.err("CGC0003", format!("{name} IZ A WHOLE ARRAY"), vr.span))
-                    }
-                };
-            }
+        if let Some(k) = self.local(vr, name) {
+            return match k {
+                CKind::Scalar { ty: CTy::Boxed, pinned: Some(ty) } => {
+                    self.line(&format!(
+                        "v_{name} = lol_cast({}, {});",
+                        val.boxed(),
+                        lol_ty_enum(ty)
+                    ));
+                    Ok(())
+                }
+                CKind::Scalar { ty, .. } => {
+                    self.line(&format!("v_{name} = {};", val.to(ty)));
+                    Ok(())
+                }
+                CKind::Array { .. } => {
+                    Err(self.err("CGC0003", format!("{name} IZ A WHOLE ARRAY"), vr.span))
+                }
+            };
         }
-        let sv = self
-            .shared(name)
-            .ok_or_else(|| self.err("CGC0004", format!("WHO IZ {name}?"), vr.span))?;
+        let sv = self.shared_or_err(name, vr.span)?;
         if matches!(sv.kind, SharedKind::Array { .. }) {
             return Err(self.err("CGC0003", format!("{name} IZ A WHOLE ARRAY"), vr.span));
         }
         let pe = self.bff_expr(vr)?;
-        let native = wrap_to(sv.ty, val_c);
+        let native = to_cell(sv.ty, val);
         if vr.locality == Locality::Ur {
             self.line(&format!("{}(&g_{name}, {native}, {pe});", shmem_put(sv.ty)));
         } else {
@@ -418,40 +511,34 @@ impl<'a> CEmitter<'a> {
         Ok(())
     }
 
-    fn elem_store(&mut self, arr: &VarRef, idx_c: &str, val_c: &str) -> CResult<()> {
+    fn elem_store(&mut self, arr: &VarRef, idx_c: &str, val: CExpr) -> CResult<()> {
         let name = self.named(arr)?;
-        if arr.locality != Locality::Ur {
-            if let Some(CKind::Array) = self.lookup(name) {
-                self.line(&format!("lol_arr_set(&v_{name}, {idx_c}, {val_c});"));
+        match self.local(arr, name) {
+            Some(CKind::Array { elem }) => {
+                self.line(&arr_set(elem, &format!("v_{name}"), idx_c, val));
                 return Ok(());
             }
-            if self.lookup(name).is_some() {
-                return Err(self.err("CGC0005", format!("{name} IZ NOT LOTZ A THINGZ"), arr.span));
+            Some(CKind::Scalar { .. }) => {
+                return Err(self.err("CGC0005", format!("{name} IZ NOT LOTZ A THINGZ"), arr.span))
             }
+            None => {}
         }
-        let sv = self
-            .shared(name)
-            .ok_or_else(|| self.err("CGC0004", format!("WHO IZ {name}?"), arr.span))?;
-        let SharedKind::Array { len } = sv.kind else {
-            return Err(self.err("CGC0005", format!("{name} IZ A SCALAR"), arr.span));
-        };
-        let cell = format!("g_{name}[lol_idx({idx_c}, {len})]");
-        let native = wrap_to(sv.ty, val_c);
+        let (sv, len) = self.shared_len(name, arr.span)?;
+        let slot = format!("g_{name}[lol_idx({idx_c}, {len})]");
+        let native = to_cell(sv.ty, val);
         if arr.locality == Locality::Ur {
             let pe = self.bff_expr(arr)?;
-            self.line(&format!("{}(&{cell}, {native}, {pe});", shmem_put(sv.ty)));
+            self.line(&format!("{}(&{slot}, {native}, {pe});", shmem_put(sv.ty)));
         } else {
-            self.line(&format!("{cell} = {native};"));
+            self.line(&format!("{slot} = {native};"));
         }
         Ok(())
     }
 
     fn is_array_ref(&self, vr: &VarRef) -> CResult<bool> {
         let name = self.named(vr)?;
-        if vr.locality != Locality::Ur {
-            if let Some(k) = self.lookup(name) {
-                return Ok(matches!(k, CKind::Array));
-            }
+        if let Some(k) = self.local(vr, name) {
+            return Ok(matches!(k, CKind::Array { .. }));
         }
         Ok(self.shared(name).map(|sv| matches!(sv.kind, SharedKind::Array { .. })).unwrap_or(false))
     }
@@ -476,13 +563,13 @@ impl<'a> CEmitter<'a> {
             StmtKind::Declare(d) => self.decl(d),
             StmtKind::Assign { target, value } => self.assign(s, target, value),
             StmtKind::ExprStmt(e) => {
-                let v = self.expr(e)?;
+                let v = self.expr(e)?.boxed();
                 self.line(&format!("v_IT = {v};"));
                 Ok(())
             }
             StmtKind::Visible { args, newline } => {
                 for a in args {
-                    let v = self.expr(a)?;
+                    let v = self.expr(a)?.boxed();
                     self.line(&format!("lol_print({v});"));
                 }
                 if *newline {
@@ -490,13 +577,13 @@ impl<'a> CEmitter<'a> {
                 }
                 Ok(())
             }
-            StmtKind::Gimmeh(lv) => self.store_lvalue(lv, "lol_gimmeh()"),
+            StmtKind::Gimmeh(lv) => self.store_lvalue(lv, CExpr::new("lol_gimmeh()", CTy::Boxed)),
             StmtKind::If(ifs) => {
                 self.line("if (lol_to_bool(v_IT))");
                 self.block(&ifs.then_block)?;
                 for m in &ifs.mebbes {
-                    let c = self.expr(&m.cond)?;
-                    self.line(&format!("else if (lol_to_bool({c}))"));
+                    let c = self.expr(&m.cond)?.truth();
+                    self.line(&format!("else if ({c})"));
                     self.block(&m.body)?;
                 }
                 if let Some(e) = &ifs.else_block {
@@ -518,7 +605,7 @@ impl<'a> CEmitter<'a> {
                 Ok(())
             }
             StmtKind::FoundYr(e) => {
-                let v = self.expr(e)?;
+                let v = self.expr(e)?.boxed();
                 self.line(&format!("return {v};"));
                 Ok(())
             }
@@ -526,7 +613,7 @@ impl<'a> CEmitter<'a> {
                 LValue::Var(vr) => {
                     let name = self.named(vr)?;
                     match self.lookup(name) {
-                        Some(CKind::Scalar { .. }) => {
+                        Some(CKind::Scalar { ty: CTy::Boxed, .. }) => {
                             self.line(&format!(
                                 "v_{name} = lol_cast(v_{name}, {});",
                                 lol_ty_enum(*ty)
@@ -563,42 +650,43 @@ impl<'a> CEmitter<'a> {
                 Ok(())
             }
             StmtKind::TxtStmt { pe, stmt } => {
-                let k = self.expr(pe)?;
-                let var = self.fresh("bff");
-                self.line("{");
-                self.indent += 1;
-                self.line(&format!("const int {var} = (int)lol_to_int({k});"));
-                self.line(&format!(
-                    "if ({var} < 0 || {var} >= shmem_n_pes()) lol_die(\"RUN0017\", \"DAT PE IZ NOT MAH FREN\");"
-                ));
-                self.bff.push(var);
+                self.open_bff(pe)?;
                 self.stmt(stmt)?;
-                self.bff.pop();
-                self.indent -= 1;
-                self.line("}");
+                self.close_bff();
                 Ok(())
             }
             StmtKind::TxtBlock { pe, body } => {
-                let k = self.expr(pe)?;
-                let var = self.fresh("bff");
-                self.line("{");
-                self.indent += 1;
-                self.line(&format!("const int {var} = (int)lol_to_int({k});"));
-                self.line(&format!(
-                    "if ({var} < 0 || {var} >= shmem_n_pes()) lol_die(\"RUN0017\", \"DAT PE IZ NOT MAH FREN\");"
-                ));
-                self.bff.push(var);
+                self.open_bff(pe)?;
                 self.scopes.push(HashMap::new());
                 for st in body {
                     self.stmt(st)?;
                 }
                 self.scopes.pop();
-                self.bff.pop();
-                self.indent -= 1;
-                self.line("}");
+                self.close_bff();
                 Ok(())
             }
         }
+    }
+
+    /// Open a `TXT MAH BFF pe` region: a C block binding the checked
+    /// target PE.
+    fn open_bff(&mut self, pe: &Expr) -> CResult<()> {
+        let k = self.expr(pe)?.int();
+        let var = self.fresh("bff");
+        self.line("{");
+        self.indent += 1;
+        self.line(&format!("const int {var} = (int)({k});"));
+        self.line(&format!(
+            "if ({var} < 0 || {var} >= shmem_n_pes()) lol_die(\"RUN0017\", \"DAT PE IZ NOT MAH FREN\");"
+        ));
+        self.bff.push(var);
+        Ok(())
+    }
+
+    fn close_bff(&mut self) {
+        self.bff.pop();
+        self.indent -= 1;
+        self.line("}");
     }
 
     fn lock_cell(&mut self, vr: &VarRef) -> CResult<(String, String)> {
@@ -618,15 +706,16 @@ impl<'a> CEmitter<'a> {
     }
 
     fn decl(&mut self, d: &Decl) -> CResult<()> {
+        let name = d.name.sym;
         match d.scope {
             DeclScope::We => {
                 // Static storage already emitted; run the initializer.
                 if let Some(init) = &d.init {
                     let v = self.expr(init)?;
-                    if let Some(sv) = self.shared(d.name.sym) {
+                    if let Some(sv) = self.shared(name) {
                         if matches!(sv.kind, SharedKind::Scalar) {
-                            let native = wrap_to(sv.ty, &v);
-                            self.line(&format!("g_{} = {native};", d.name.sym));
+                            let native = to_cell(sv.ty, v);
+                            self.line(&format!("g_{name} = {native};"));
                         }
                     }
                 }
@@ -634,28 +723,36 @@ impl<'a> CEmitter<'a> {
             }
             DeclScope::I => {
                 if let Some(size) = &d.array_size {
-                    let n = self.expr(size)?;
-                    let ty = d.ty.unwrap_or(LolType::Noob);
+                    let n = self.expr(size)?.int();
+                    // NUMBR/NUMBAR elements are native buffers.
+                    let elem =
+                        d.ty.and_then(native).filter(|t| *t != CTy::Bool).unwrap_or(CTy::Boxed);
+                    let ty = lol_ty_enum(d.ty.unwrap_or(LolType::Noob));
                     self.line(&format!(
-                        "lol_arr_t v_{} = lol_arr_new(lol_to_int({n}), {});",
-                        d.name.sym,
-                        lol_ty_enum(ty)
+                        "{} v_{name} = {};",
+                        arr_c_type(elem),
+                        arr_new(elem, &n, ty)
                     ));
-                    self.scopes.last_mut().unwrap().insert(d.name.sym, CKind::Array);
-                } else {
-                    let init = match (&d.init, d.ty) {
-                        (Some(i), Some(ty)) => {
-                            let v = self.expr(i)?;
-                            format!("lol_cast({v}, {})", lol_ty_enum(ty))
-                        }
-                        (Some(i), None) => self.expr(i)?,
-                        (None, Some(ty)) => default_c(ty),
-                        (None, None) => "lol_noob()".to_string(),
-                    };
-                    self.line(&format!("lol_value_t v_{} = {init};", d.name.sym));
-                    let pinned = if d.srsly { d.ty } else { None };
-                    self.scopes.last_mut().unwrap().insert(d.name.sym, CKind::Scalar { pinned });
+                    self.declare(name, CKind::Array { elem });
+                    return Ok(());
                 }
+                let native_ty = if d.srsly { d.ty.and_then(native) } else { None };
+                let (init, cast) = match (&d.init, d.ty) {
+                    (Some(i), ty) => (self.expr(i)?, ty),
+                    (None, Some(ty)) => (default_value(ty), None),
+                    (None, None) => (CExpr::new("lol_noob()", CTy::Boxed), None),
+                };
+                let (ty, init) = match (native_ty, cast) {
+                    (Some(ty), _) => (ty, init.to(ty)),
+                    (None, Some(t)) => {
+                        (CTy::Boxed, format!("lol_cast({}, {})", init.boxed(), lol_ty_enum(t)))
+                    }
+                    (None, None) => (CTy::Boxed, init.boxed()),
+                };
+                self.line(&format!("{} v_{name} = {init};", scalar_c_type(ty)));
+                let pinned = if d.srsly { d.ty } else { None };
+                let kind = CKind::Scalar { ty, pinned };
+                self.declare(name, kind);
                 Ok(())
             }
         }
@@ -685,66 +782,63 @@ impl<'a> CEmitter<'a> {
             }
         }
         let v = self.expr(value)?;
-        self.store_lvalue(target, &v)
+        self.store_lvalue(target, v)
     }
 
-    fn store_lvalue(&mut self, lv: &LValue, val_c: &str) -> CResult<()> {
+    fn store_lvalue(&mut self, lv: &LValue, val: CExpr) -> CResult<()> {
         match lv {
-            LValue::Var(vr) => self.var_store(vr, val_c),
+            LValue::Var(vr) => self.var_store(vr, val),
             LValue::Index { arr, idx, .. } => {
-                let i = self.expr(idx)?;
-                self.elem_store(arr, &format!("lol_to_int({i})"), val_c)
+                let i = self.expr(idx)?.int();
+                self.elem_store(arr, &i, val)
             }
         }
     }
 
-    /// `MAH array R UR array` — element-wise copy loop.
+    /// `MAH array R UR array` — element-wise copy loop. A local
+    /// destination adopts the source length (dynamic arrays): the copy
+    /// fills a fresh buffer that replaces it, so the source is read in
+    /// full before the destination changes (as on the other engines).
     fn array_copy(&mut self, dst: &VarRef, src: &VarRef) -> CResult<()> {
         let dst_name = self.named(dst)?;
         let src_name = self.named(src)?;
         let i = self.fresh("i");
         // Source length as a C expression.
-        let src_is_local =
-            src.locality != Locality::Ur && matches!(self.lookup(src_name), Some(CKind::Array));
-        let src_len = if src_is_local {
-            format!("v_{src_name}.n")
-        } else {
-            let sv = self
-                .shared(src_name)
-                .ok_or_else(|| self.err("CGC0004", format!("WHO IZ {src_name}?"), src.span))?;
-            let SharedKind::Array { len } = sv.kind else {
-                return Err(self.err("CGC0005", format!("{src_name} IZ A SCALAR"), src.span));
-            };
-            len.to_string()
+        let src_len = match self.local(src, src_name) {
+            Some(CKind::Array { .. }) => format!("v_{src_name}.n"),
+            _ => self.shared_len(src_name, src.span)?.1.to_string(),
         };
-        let dst_is_local =
-            dst.locality != Locality::Ur && matches!(self.lookup(dst_name), Some(CKind::Array));
 
         self.line("{");
         self.indent += 1;
-        if dst_is_local {
-            // Local arrays adopt the source length (dynamic arrays).
-            self.line(&format!("v_{dst_name} = lol_arr_new({src_len}, v_{dst_name}.ty);"));
-        } else {
-            let sv = self
-                .shared(dst_name)
-                .ok_or_else(|| self.err("CGC0004", format!("WHO IZ {dst_name}?"), dst.span))?;
-            let SharedKind::Array { len } = sv.kind else {
-                return Err(self.err("CGC0005", format!("{dst_name} IZ A SCALAR"), dst.span));
-            };
-            self.line(&format!(
-                "if ({src_len} != {len}) lol_die(\"RUN0013\", \"ARRAY COPY SIZE MISMATCH\");"
-            ));
-        }
+        let target = match self.local(dst, dst_name) {
+            Some(CKind::Array { elem }) => {
+                let fresh = self.fresh("a");
+                let ctor = arr_new(elem, &src_len, &format!("v_{dst_name}.ty"));
+                self.line(&format!("{} {fresh} = {ctor};", arr_c_type(elem)));
+                Some((fresh, elem))
+            }
+            _ => {
+                let (_, len) = self.shared_len(dst_name, dst.span)?;
+                self.line(&format!(
+                    "if ({src_len} != {len}) lol_die(\"RUN0013\", \"ARRAY COPY SIZE MISMATCH\");"
+                ));
+                None
+            }
+        };
         self.line(&format!("for (long long {i} = 0; {i} < {src_len}; {i}++)"));
         self.line("{");
         self.indent += 1;
         let elem = self.elem_read(src, &i)?;
-        let tmpv = self.fresh("t");
-        self.line(&format!("lol_value_t {tmpv} = {elem};"));
-        self.elem_store(dst, &i, &tmpv)?;
+        match &target {
+            Some((fresh, ty)) => self.line(&arr_set(*ty, fresh, &i, elem)),
+            None => self.elem_store(dst, &i, elem)?,
+        }
         self.indent -= 1;
         self.line("}");
+        if let Some((fresh, _)) = target {
+            self.line(&format!("v_{dst_name} = {fresh};"));
+        }
         self.indent -= 1;
         self.line("}");
         Ok(())
@@ -756,7 +850,7 @@ impl<'a> CEmitter<'a> {
         self.indent += 1;
         self.line(&format!("int {arm} = -1;"));
         for (i, a) in sw.arms.iter().enumerate() {
-            let k = self.literal(&a.value)?;
+            let k = self.literal(&a.value)?.boxed();
             let prefix = if i == 0 { "if" } else { "else if" };
             self.line(&format!("{prefix} (lol_saem(v_IT, {k})) {arm} = {i};"));
         }
@@ -793,21 +887,28 @@ impl<'a> CEmitter<'a> {
         Ok(())
     }
 
+    /// A counted loop. The counter is a native `long long` unless the
+    /// body assigns it (then it may change type, so it stays boxed).
     fn loop_stmt(&mut self, lp: &LoopStmt) -> CResult<()> {
         self.line("{");
         self.indent += 1;
         self.scopes.push(HashMap::new());
-        if let Some((_, var)) = &lp.update {
-            self.line(&format!("lol_value_t v_{} = lol_from_int(0);", var.sym));
-            self.scopes.last_mut().unwrap().insert(var.sym, CKind::Scalar { pinned: None });
+        let counter = lp.update.as_ref().map(|(dir, var)| {
+            let native = !assigns(&lp.body, var.sym);
+            (*dir, var.sym, if native { CTy::Int } else { CTy::Boxed })
+        });
+        if let Some((_, var, ty)) = counter {
+            let init = CExpr::new("0LL", CTy::Int);
+            self.line(&format!("{} v_{var} = {};", scalar_c_type(ty), init.to(ty)));
+            self.declare(var, CKind::Scalar { ty, pinned: None });
         }
         self.line("for (;;) {");
         self.indent += 1;
         if let Some((kind, guard)) = &lp.guard {
-            let g = self.expr(guard)?;
+            let g = self.expr(guard)?.truth();
             match kind {
-                GuardKind::Til => self.line(&format!("if (lol_to_bool({g})) break;")),
-                GuardKind::Wile => self.line(&format!("if (!lol_to_bool({g})) break;")),
+                GuardKind::Til => self.line(&format!("if ({g}) break;")),
+                GuardKind::Wile => self.line(&format!("if (!{g}) break;")),
             }
         }
         self.breakable += 1;
@@ -817,12 +918,13 @@ impl<'a> CEmitter<'a> {
         }
         self.scopes.pop();
         self.breakable -= 1;
-        if let Some((dir, var)) = &lp.update {
+        if let Some((dir, var, ty)) = counter {
             let op = match dir {
-                LoopDir::Uppin => "lol_sum",
-                LoopDir::Nerfin => "lol_diff",
+                LoopDir::Uppin => BinOp::Sum,
+                LoopDir::Nerfin => BinOp::Diff,
             };
-            self.line(&format!("v_{0} = {op}(v_{0}, lol_from_int(1));", var.sym));
+            let next = binop(op, CExpr::new(format!("v_{var}"), ty), CExpr::new("1LL", CTy::Int));
+            self.line(&format!("v_{var} = {};", next.to(ty)));
         }
         self.indent -= 1;
         self.line("}");
@@ -830,6 +932,146 @@ impl<'a> CEmitter<'a> {
         self.indent -= 1;
         self.line("}");
         Ok(())
+    }
+}
+
+// ---- typed lowering ----------------------------------------------------
+
+/// Lower a binary operator. Arithmetic over two statically numeric
+/// operands is native (NUMBR if both are NUMBR/TROOF, else NUMBAR);
+/// a boxed operand sends it through the dynamic runtime. Comparisons
+/// and logic always yield a native TROOF.
+fn binop(op: BinOp, a: CExpr, b: CExpr) -> CExpr {
+    use BinOp::*;
+    match op {
+        Sum | Diff | Produkt | Quoshunt | Mod | BiggrOf | SmallrOf => {
+            if a.ty == CTy::Boxed || b.ty == CTy::Boxed {
+                let f = match op {
+                    Sum => "lol_sum",
+                    Diff => "lol_diff",
+                    Produkt => "lol_produkt",
+                    Quoshunt => "lol_quoshunt",
+                    Mod => "lol_mod",
+                    BiggrOf => "lol_biggr",
+                    _ => "lol_smallr",
+                };
+                return CExpr::new(format!("{f}({}, {})", a.boxed(), b.boxed()), CTy::Boxed);
+            }
+            if a.ty == CTy::Dbl || b.ty == CTy::Dbl {
+                let (x, y) = (a.dbl(), b.dbl());
+                let c = match op {
+                    Sum => format!("({x} + {y})"),
+                    Diff => format!("({x} - {y})"),
+                    Produkt => format!("({x} * {y})"),
+                    Quoshunt => format!("({x} / {y})"),
+                    Mod => format!("fmod({x}, {y})"),
+                    BiggrOf => format!("lol_fmax({x}, {y})"),
+                    _ => format!("lol_fmin({x}, {y})"),
+                };
+                return CExpr::new(c, CTy::Dbl);
+            }
+            let f = match op {
+                Sum => "lol_iadd",
+                Diff => "lol_isub",
+                Produkt => "lol_imul",
+                Quoshunt => "lol_idiv",
+                Mod => "lol_imod",
+                BiggrOf => "lol_imax",
+                _ => "lol_imin",
+            };
+            CExpr::new(format!("{f}({}, {})", a.int(), b.int()), CTy::Int)
+        }
+        // Comparison is float-domain on every backend.
+        Bigger => CExpr::new(format!("({} > {})", a.dbl(), b.dbl()), CTy::Bool),
+        Smallr => CExpr::new(format!("({} < {})", a.dbl(), b.dbl()), CTy::Bool),
+        BothSaem | Diffrint => {
+            use CTy::*;
+            let eq = match (a.ty, b.ty) {
+                (Int, Int) | (Bool, Bool) => format!("({} == {})", a.c, b.c),
+                (Int | Dbl, Int | Dbl) => format!("({} == {})", a.dbl(), b.dbl()),
+                _ => format!("lol_saem({}, {})", a.boxed(), b.boxed()),
+            };
+            let c = if op == Diffrint { format!("(!{eq})") } else { eq };
+            CExpr::new(c, CTy::Bool)
+        }
+        BothOf => CExpr::new(format!("({} && {})", a.truth(), b.truth()), CTy::Bool),
+        EitherOf => CExpr::new(format!("({} || {})", a.truth(), b.truth()), CTy::Bool),
+        WonOf => CExpr::new(format!("({} ^ {})", a.truth(), b.truth()), CTy::Bool),
+    }
+}
+
+/// `SMOOSH` of boxed parts (the empty YARN when there are none).
+fn smoosh(parts: impl Iterator<Item = String>) -> CExpr {
+    let c = parts
+        .reduce(|acc, p| format!("lol_smoosh({acc}, {p})"))
+        .unwrap_or_else(|| "lol_from_str(\"\")".to_string());
+    CExpr::new(c, CTy::Boxed)
+}
+
+/// Does `body` (at any depth) assign, read into or retype `sym`?
+fn assigns(body: &Block, sym: Symbol) -> bool {
+    struct Finder {
+        sym: Symbol,
+        hit: bool,
+    }
+    impl Visitor for Finder {
+        fn visit_lvalue(&mut self, lv: &LValue) {
+            if let LValue::Var(vr) = lv {
+                match &vr.name {
+                    VarName::Named(id) => self.hit |= id.sym == self.sym,
+                    VarName::Srs(_) => self.hit = true,
+                }
+            }
+            walk_lvalue(self, lv);
+        }
+    }
+    let mut f = Finder { sym, hit: false };
+    f.visit_block(body);
+    f.hit
+}
+
+fn scalar_c_type(ty: CTy) -> &'static str {
+    match ty {
+        CTy::Int => "long long",
+        CTy::Dbl => "double",
+        CTy::Bool => "int",
+        CTy::Boxed => "lol_value_t",
+    }
+}
+
+fn arr_c_type(elem: CTy) -> &'static str {
+    match elem {
+        CTy::Int => "lol_iarr_t",
+        CTy::Dbl => "lol_darr_t",
+        _ => "lol_arr_t",
+    }
+}
+
+/// The constructor call for a local array of `n_c` elements; `ty_c`
+/// is the element-type tag of a boxed array.
+fn arr_new(elem: CTy, n_c: &str, ty_c: &str) -> String {
+    match elem {
+        CTy::Int => format!("lol_iarr_new({n_c})"),
+        CTy::Dbl => format!("lol_darr_new({n_c})"),
+        _ => format!("lol_arr_new({n_c}, {ty_c})"),
+    }
+}
+
+/// Read element `idx_c` of the local array `arr_c`.
+fn arr_get(elem: CTy, arr_c: &str, idx_c: &str) -> CExpr {
+    match elem {
+        CTy::Int | CTy::Dbl => CExpr::new(format!("{arr_c}.e[lol_idx({idx_c}, {arr_c}.n)]"), elem),
+        _ => CExpr::new(format!("lol_arr_get(&{arr_c}, {idx_c})"), CTy::Boxed),
+    }
+}
+
+/// The statement storing `val` into element `idx_c` of local `arr_c`.
+fn arr_set(elem: CTy, arr_c: &str, idx_c: &str, val: CExpr) -> String {
+    match elem {
+        CTy::Int | CTy::Dbl => {
+            format!("{arr_c}.e[lol_idx({idx_c}, {arr_c}.n)] = {};", val.to(elem))
+        }
+        _ => format!("lol_arr_set(&{arr_c}, {idx_c}, {});", val.boxed()),
     }
 }
 
@@ -857,31 +1099,32 @@ fn shmem_put(ty: LolType) -> &'static str {
     }
 }
 
-/// Native shared cell value → `lol_value_t`.
-fn wrap_from(ty: LolType, native: &str) -> String {
+/// A native shared cell value of type `ty` as a typed expression.
+fn cell(ty: LolType, native: &str) -> CExpr {
     match ty {
-        LolType::Numbar => format!("lol_from_dbl({native})"),
-        LolType::Troof => format!("lol_from_bool((int)({native}))"),
-        _ => format!("lol_from_int({native})"),
+        LolType::Numbar => CExpr::new(native, CTy::Dbl),
+        LolType::Troof => CExpr::new(format!("({native} != 0)"), CTy::Bool),
+        _ => CExpr::new(native, CTy::Int),
     }
 }
 
-/// `lol_value_t` expression → native shared cell value.
-fn wrap_to(ty: LolType, v: &str) -> String {
+/// A typed expression → the native value of a shared cell of type `ty`.
+fn to_cell(ty: LolType, v: CExpr) -> String {
     match ty {
-        LolType::Numbar => format!("lol_to_dbl({v})"),
-        LolType::Troof => format!("(long long)lol_to_bool({v})"),
-        _ => format!("lol_to_int({v})"),
+        LolType::Numbar => v.dbl(),
+        LolType::Troof => format!("(long long){}", v.truth()),
+        _ => v.int(),
     }
 }
 
-fn default_c(ty: LolType) -> String {
+/// The default value of a declared-but-uninitialized `ty`.
+fn default_value(ty: LolType) -> CExpr {
     match ty {
-        LolType::Noob => "lol_noob()".to_string(),
-        LolType::Troof => "lol_from_bool(0)".to_string(),
-        LolType::Numbr => "lol_from_int(0LL)".to_string(),
-        LolType::Numbar => "lol_from_dbl(0.0)".to_string(),
-        LolType::Yarn => "lol_from_str(\"\")".to_string(),
+        LolType::Noob => CExpr::new("lol_noob()", CTy::Boxed),
+        LolType::Troof => CExpr::new("0", CTy::Bool),
+        LolType::Numbr => CExpr::new("0LL", CTy::Int),
+        LolType::Numbar => CExpr::new("0.0", CTy::Dbl),
+        LolType::Yarn => CExpr::new("lol_from_str(\"\")", CTy::Boxed),
     }
 }
 
@@ -936,8 +1179,9 @@ mod tests {
 
     #[test]
     fn wrapping_round_trip_shapes() {
-        assert_eq!(wrap_from(LolType::Numbr, "g_x"), "lol_from_int(g_x)");
-        assert_eq!(wrap_to(LolType::Numbar, "v"), "lol_to_dbl(v)");
-        assert_eq!(wrap_to(LolType::Troof, "v"), "(long long)lol_to_bool(v)");
+        let boxed = |c: &str| CExpr::new(c, CTy::Boxed);
+        assert_eq!(cell(LolType::Numbr, "g_x").boxed(), "lol_from_int(g_x)");
+        assert_eq!(to_cell(LolType::Numbar, boxed("v")), "lol_to_dbl(v)");
+        assert_eq!(to_cell(LolType::Troof, boxed("v")), "(long long)lol_to_bool(v)");
     }
 }

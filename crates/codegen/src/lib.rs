@@ -157,6 +157,90 @@ mod tests {
         assert_eq!(gen(&src), gen(&src));
     }
 
+    /// The body of `lol_main` (after the runtime preamble).
+    fn main_body(c: &str) -> &str {
+        &c[c.find("static int lol_main(void)").expect("lol_main")..]
+    }
+
+    #[test]
+    fn bench_kernels_lower_to_native_c() {
+        let heat = gen(include_str!("../../../corpus/heat2d_bench.lol"));
+        let nbody = gen(include_str!("../../../corpus/nbody_bench.lol"));
+        for decl in [
+            "double v_here = 0.0;",
+            "long long v_idx = 0LL;",
+            "lol_darr_t v_unew = lol_darr_new(1152LL);",
+            "long long v_t = 0LL;",
+            "long long v_r = 0LL;",
+            "long long v_cc = 0LL;",
+        ] {
+            assert!(heat.contains(decl), "heat2d_bench lacks `{decl}`");
+        }
+        for decl in [
+            "double v_x = 0.0;",
+            "double v_inv_d = 0.0;",
+            "lol_darr_t v_vel_x = lol_darr_new(64LL);",
+            "long long v_time = 0LL;",
+            "long long v_i = 0LL;",
+            "long long v_j = 0LL;",
+            "long long v_k = 0LL;",
+        ] {
+            assert!(nbody.contains(decl), "nbody_bench lacks `{decl}`");
+        }
+        for (name, c) in [("heat2d_bench", &heat), ("nbody_bench", &nbody)] {
+            let body = main_body(c);
+            // Every counter is native; no arithmetic goes through the
+            // dynamic runtime.
+            assert!(!body.contains("lol_sum("), "{name} still boxes a sum");
+            assert!(!body.contains("lol_value_t v_i "), "{name} boxes a loop counter");
+            assert!(body.contains("= lol_iadd(v_"), "{name} lacks native counter updates");
+        }
+        // The stencil and the force lines are straight-line C.
+        let hot: Vec<&str> = main_body(&heat)
+            .lines()
+            .filter(|l| l.contains("v_unew.e[") || l.contains("v_idx = "))
+            .chain(main_body(&nbody).lines().filter(|l| {
+                ["v_dx = ", "v_dy = ", "v_inv_d = ", "v_f = ", "v_ax = ", "v_ay = "]
+                    .iter()
+                    .any(|lhs| l.trim_start().starts_with(lhs))
+            }))
+            .collect();
+        assert!(hot.len() >= 15, "found only {} stencil/force lines", hot.len());
+        for l in hot {
+            for boxed in ["lol_sum(", "lol_cast(", "lol_from_", "lol_to_", "lol_value_t"] {
+                assert!(!l.contains(boxed), "`{boxed}` on a hot line: {l}");
+            }
+        }
+    }
+
+    #[test]
+    fn assigned_counters_stay_boxed() {
+        let c = gen(&prog(
+            "IM IN YR a UPPIN YR i TIL BIGGER i AN 6\ni R SUM OF i AN 0.5\nIM OUTTA YR a\n\
+             IM IN YR b UPPIN YR j TIL BOTH SAEM j AN 6\nVISIBLE j\nIM OUTTA YR b",
+        ));
+        assert!(c.contains("lol_value_t v_i = lol_from_int(0LL);"), "{c}");
+        assert!(c.contains("v_i = lol_sum(v_i, lol_from_int(1LL));"), "{c}");
+        assert!(c.contains("long long v_j = 0LL;"), "{c}");
+        assert!(c.contains("v_j = lol_iadd(v_j, 1LL);"), "{c}");
+    }
+
+    #[test]
+    fn untyped_and_it_stay_boxed() {
+        let c = gen(&prog(
+            "I HAS A u ITZ 1\nI HAS A n ITZ A NUMBR AN ITZ 2\n\
+             I HAS A s ITZ SRSLY A NUMBR AN ITZ 3\n\
+             SUM OF s AN 1\nVISIBLE SUM OF u AN s \" \" IT \" \" n",
+        ));
+        assert!(c.contains("lol_value_t v_u = lol_from_int(1LL);"), "{c}");
+        // ITZ A without SRSLY may be retyped later: boxed.
+        assert!(c.contains("lol_value_t v_n = lol_cast(lol_from_int(2LL), LOL_NUMBR);"), "{c}");
+        assert!(c.contains("long long v_s = 3LL;"), "{c}");
+        assert!(c.contains("v_IT = lol_from_int(lol_iadd(v_s, 1LL));"), "{c}");
+        assert!(c.contains("lol_print(lol_sum(v_u, lol_from_int(v_s)));"), "{c}");
+        assert!(c.contains("lol_print(v_IT);"), "{c}");
+    }
+
     #[test]
     fn paper_example_c_structure() {
         // TXT MAH BFF k, UR b R MAH a / HUGZ / c R SUM OF a AN b.
@@ -167,7 +251,7 @@ mod tests {
         ));
         let put = c.find("shmem_longlong_p(&g_b").expect("remote put");
         let bar = c.find("shmem_barrier_all();").expect("barrier");
-        let sum = c.find("g_c = lol_to_int(lol_sum(").expect("local sum");
+        let sum = c.find("g_c = lol_iadd(g_a, g_b);").expect("native local sum");
         assert!(put < bar && bar < sum, "paper ordering preserved");
     }
 }

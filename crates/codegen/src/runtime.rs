@@ -123,9 +123,49 @@ static int lol_numeric(lol_value_t v, long long *out_i, double *out_f) {
     return 0;
 }
 
+/* NUMBR arithmetic wraps (two's complement, like the Rust engines)
+   instead of relying on signed-overflow UB: add, sub and mul go
+   through unsigned long long; div and mod check for zero and
+   special-case -1, so NUMBR minimum / -1 wraps instead of trapping.
+   Boxed (LOL_ARITH) and typed code share these helpers. */
+static inline long long lol_iadd(long long a, long long b) {
+    return (long long)((unsigned long long)a + (unsigned long long)b);
+}
+static inline long long lol_isub(long long a, long long b) {
+    return (long long)((unsigned long long)a - (unsigned long long)b);
+}
+static inline long long lol_imul(long long a, long long b) {
+    return (long long)((unsigned long long)a * (unsigned long long)b);
+}
+static inline long long lol_idiv(long long a, long long b) {
+    if (b == 0) lol_die("RUN0001", "DIVIDIN BY ZERO IZ NOT ALLOWED");
+    return b == -1 ? lol_isub(0, a) : a / b;
+}
+static inline long long lol_imod(long long a, long long b) {
+    if (b == 0) lol_die("RUN0001", "DIVIDIN BY ZERO IZ NOT ALLOWED");
+    return b == -1 ? 0 : a % b;
+}
+static inline long long lol_imax(long long a, long long b) { return a > b ? a : b; }
+static inline long long lol_imin(long long a, long long b) { return a < b ? a : b; }
+static inline long long lol_isquar(long long a) { return lol_imul(a, a); }
+static inline double lol_dsquar(double a) { return a * a; }
+/* BIGGR/SMALLR OF over NUMBARs: C99 fmax/fmin return the other operand
+   when one is NaN; equal operands (0.0 vs -0.0) yield the first, as
+   Rust's f64::max/min do on the other engines. */
+static inline double lol_fmax(double a, double b) { return a == b ? a : fmax(a, b); }
+static inline double lol_fmin(double a, double b) { return a == b ? a : fmin(a, b); }
+/* NUMBAR -> NUMBR truncates and saturates (NaN -> 0), like Rust's
+   `as i64`, rather than hitting C's undefined out-of-range cast. */
+static inline long long lol_dtoi(double f) {
+    if (f != f) return 0;
+    if (f >= 9223372036854775808.0) return 9223372036854775807LL;
+    if (f < -9223372036854775808.0) return -9223372036854775807LL - 1;
+    return (long long)f;
+}
+
 static long long lol_to_int(lol_value_t v) {
     long long i = 0; double f = 0.0;
-    if (lol_numeric(v, &i, &f)) return (long long)f;
+    if (lol_numeric(v, &i, &f)) return lol_dtoi(f);
     return i;
 }
 
@@ -156,33 +196,25 @@ static const char *lol_to_cstr(lol_value_t v, char *buf, size_t n) {
     return "";
 }
 
-#define LOL_ARITH(NAME, IOP, FOP, ZCHK)                                        \
+/* dynamic arithmetic: NUMBR op NUMBR stays NUMBR, anything else
+   promotes to NUMBAR */
+#define LOL_ARITH(NAME, IOP, FOP)                                              \
     static lol_value_t NAME(lol_value_t a, lol_value_t b) {                    \
         long long ia = 0, ib = 0; double fa = 0.0, fb = 0.0;                   \
         int af = lol_numeric(a, &ia, &fa), bf = lol_numeric(b, &ib, &fb);      \
-        if (!af && !bf) {                                                      \
-            if (ZCHK && ib == 0) lol_die("RUN0001", "DIVIDIN BY ZERO IZ NOT ALLOWED"); \
-            return lol_from_int(IOP);                                          \
-        }                                                                      \
+        if (!af && !bf) return lol_from_int(IOP);                              \
         fa = af ? fa : (double)ia;                                             \
         fb = bf ? fb : (double)ib;                                             \
         return lol_from_dbl(FOP);                                              \
     }
 
-LOL_ARITH(lol_sum, ia + ib, fa + fb, 0)
-LOL_ARITH(lol_diff, ia - ib, fa - fb, 0)
-LOL_ARITH(lol_produkt, ia * ib, fa * fb, 0)
-LOL_ARITH(lol_quoshunt, ia / ib, fa / fb, 1)
-LOL_ARITH(lol_mod, ia % ib, fmod(fa, fb), 1)
-LOL_ARITH(lol_biggr, ia > ib ? ia : ib, fa > fb ? fa : fb, 0)
-LOL_ARITH(lol_smallr, ia < ib ? ia : ib, fa < fb ? fa : fb, 0)
-
-static lol_value_t lol_bigger(lol_value_t a, lol_value_t b) {
-    return lol_from_bool(lol_to_dbl(a) > lol_to_dbl(b));
-}
-static lol_value_t lol_smallr_than(lol_value_t a, lol_value_t b) {
-    return lol_from_bool(lol_to_dbl(a) < lol_to_dbl(b));
-}
+LOL_ARITH(lol_sum, lol_iadd(ia, ib), fa + fb)
+LOL_ARITH(lol_diff, lol_isub(ia, ib), fa - fb)
+LOL_ARITH(lol_produkt, lol_imul(ia, ib), fa * fb)
+LOL_ARITH(lol_quoshunt, lol_idiv(ia, ib), fa / fb)
+LOL_ARITH(lol_mod, lol_imod(ia, ib), fmod(fa, fb))
+LOL_ARITH(lol_biggr, lol_imax(ia, ib), lol_fmax(fa, fb))
+LOL_ARITH(lol_smallr, lol_imin(ia, ib), lol_fmin(fa, fb))
 
 static int lol_saem(lol_value_t a, lol_value_t b) {
     if (a.t == LOL_NOOB && b.t == LOL_NOOB) return 1;
@@ -194,10 +226,7 @@ static int lol_saem(lol_value_t a, lol_value_t b) {
     return 0;
 }
 
-static lol_value_t lol_not(lol_value_t v) { return lol_from_bool(!lol_to_bool(v)); }
 static lol_value_t lol_squar(lol_value_t v) { return lol_produkt(v, v); }
-static lol_value_t lol_unsquar(lol_value_t v) { return lol_from_dbl(sqrt(lol_to_dbl(v))); }
-static lol_value_t lol_flip(lol_value_t v) { return lol_from_dbl(1.0 / lol_to_dbl(v)); }
 
 static lol_value_t lol_smoosh(lol_value_t a, lol_value_t b) {
     char ba[LOL_NUM_BUF], bb[LOL_NUM_BUF];
@@ -269,17 +298,40 @@ static long long lol_idx(long long i, long long len) {
     return i;
 }
 
-/* local dynamically-sized arrays */
+/* local dynamically-sized arrays: boxed elements of a fixed type tag,
+   or native buffers for NUMBR/NUMBAR elements */
 typedef struct {
     lol_value_t *e;
     long long n;
     lol_type_t ty;
 } lol_arr_t;
+typedef struct { long long *e; long long n; } lol_iarr_t;
+typedef struct { double *e; long long n; } lol_darr_t;
 
-static lol_arr_t lol_arr_new(long long n, lol_type_t ty) {
+/* zeroed storage for n elements of `size` bytes (0LL and 0.0 are all
+   zero bits) */
+static void *lol_arr_alloc(long long n, size_t size) {
+    void *p;
     if (n <= 0) lol_die("RUN0014", "ARRAY SIZE MUST BE POSITIVE");
+    p = calloc((size_t)n, size);
+    if (!p) lol_die("RUN0150", "OUT OF MEMOREZ FOR AN ARRAY");
+    return p;
+}
+static lol_iarr_t lol_iarr_new(long long n) {
+    lol_iarr_t a;
+    a.e = (long long *)lol_arr_alloc(n, sizeof(long long));
+    a.n = n;
+    return a;
+}
+static lol_darr_t lol_darr_new(long long n) {
+    lol_darr_t a;
+    a.e = (double *)lol_arr_alloc(n, sizeof(double));
+    a.n = n;
+    return a;
+}
+static lol_arr_t lol_arr_new(long long n, lol_type_t ty) {
     lol_arr_t a;
-    a.e = (lol_value_t *)calloc((size_t)n, sizeof(lol_value_t));
+    a.e = (lol_value_t *)lol_arr_alloc(n, sizeof(lol_value_t));
     a.n = n;
     a.ty = ty;
     for (long long i = 0; i < n; i++) a.e[i] = lol_cast(lol_from_int(0), ty);
@@ -334,8 +386,8 @@ static void lol_lock_release(long *cell, int target) {
     LOL_LOCK_TRACE('U', cell, target, 0);
 }
 
-static lol_value_t lol_whatevr(void) { return lol_from_int(LOL_RAND()); }
-static lol_value_t lol_whatevar(void) { return lol_from_dbl((double)LOL_RAND() / ((double)RAND_MAX + 1.0)); }
+static long long lol_whatevr(void) { return LOL_RAND(); }
+static double lol_whatevar(void) { return (double)LOL_RAND() / ((double)RAND_MAX + 1.0); }
 /* ---- end runtime ---- */
 "#;
 

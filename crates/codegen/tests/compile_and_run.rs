@@ -244,6 +244,96 @@ fn trylock_pattern_matches() {
     );
 }
 
+/// NUMBR `QUOSHUNT`/`MOD` of the minimum by -1 wraps on every engine
+/// (`-9223372036854775808` and `0`). The C binary used to die of
+/// SIGFPE here. Covers the boxed runtime (untyped `n`, `m`) and the
+/// typed lowering (`SRSLY` `t`, literals), plus wrapping add/mul.
+#[test]
+fn numbr_min_div_and_mod_by_minus_one_wrap() {
+    differential(
+        "min_div",
+        &prog(
+            "I HAS A n ITZ DIFF OF -9223372036854775807 AN 1\n\
+             I HAS A m ITZ -1\n\
+             VISIBLE QUOSHUNT OF n AN m\n\
+             VISIBLE MOD OF n AN m\n\
+             I HAS A t ITZ SRSLY A NUMBR AN ITZ n\n\
+             VISIBLE QUOSHUNT OF t AN -1\n\
+             VISIBLE MOD OF t AN -1\n\
+             VISIBLE PRODUKT OF t AN -1\n\
+             VISIBLE SUM OF 9223372036854775807 AN 1\n\
+             VISIBLE SQUAR OF 3037000500",
+        ),
+        &[],
+    );
+}
+
+/// `SRSLY` locals (TROOF too), typed arrays and native counters
+/// through every native operator, including NUMBAR→NUMBR saturation and the NaN and
+/// signed-zero rules of `BIGGR OF`/`SMALLR OF`.
+#[test]
+fn typed_locals_and_arrays_match() {
+    differential(
+        "typed",
+        &prog(
+            "I HAS A n ITZ SRSLY A NUMBR AN ITZ 7\n\
+             I HAS A x ITZ SRSLY A NUMBAR AN ITZ 2.5\n\
+             I HAS A big ITZ SRSLY A NUMBR AN ITZ PRODUKT OF 1e30 AN x\n\
+             I HAS A nan ITZ SRSLY A NUMBAR AN ITZ QUOSHUNT OF 0.0 AN 0.0\n\
+             I HAS A zero ITZ SRSLY A NUMBR AN ITZ nan\n\
+             I HAS A nz ITZ SRSLY A NUMBAR AN ITZ PRODUKT OF -1.0 AN 0.0\n\
+             I HAS A ia ITZ SRSLY LOTZ A NUMBRS AN THAR IZ 4\n\
+             I HAS A da ITZ SRSLY LOTZ A NUMBARS AN THAR IZ 4\n\
+             IM IN YR l UPPIN YR i TIL BOTH SAEM i AN 4\n\
+             ia'Z i R PRODUKT OF i AN n\n\
+             da'Z i R QUOSHUNT OF ia'Z i AN x\n\
+             IM OUTTA YR l\n\
+             ia R da\n\
+             VISIBLE ia'Z 3 \" \" da'Z 3 \" \" big \" \" zero\n\
+             VISIBLE BIGGR OF x AN nan \" \" SMALLR OF nan AN x\n\
+             VISIBLE BIGGR OF nz AN 0.0 \" \" SMALLR OF 0.0 AN nz\n\
+             VISIBLE MOD OF -7.5 AN 2 \" \" MOD OF -7 AN 2 \" \" QUOSHUNT OF -7 AN 2\n\
+             VISIBLE BIGGER n AN x \" \" BOTH SAEM 7 AN 7.0 \" \" DIFFRINT n AN 7\n\
+             VISIBLE UNSQUAR OF 16 \" \" FLIP OF 4 \" \" SQUAR OF x \" \" MAEK x A NUMBR\n\
+             VISIBLE \"N=:{n} X=:{x}\"\n\
+             I HAS A b ITZ SRSLY A TROOF AN ITZ 5\n\
+             WE HAS A w ITZ SRSLY A TROOF\n\
+             w R BOTH SAEM b AN WIN\n\
+             VISIBLE b \" \" w \" \" SUM OF b AN w \" \" BOTH SAEM b AN 1\n\
+             b R 0.0\n\
+             VISIBLE b \" \" DIFFRINT b AN w \" \" MAEK b A NUMBAR",
+        ),
+        &[],
+    );
+}
+
+/// A counter the body assigns may change type, so it stays boxed — and
+/// still counts exactly like the interpreter's, including after it
+/// turns into a NUMBAR. Counters the body leaves alone are native.
+#[test]
+fn assigned_loop_counters_match() {
+    differential(
+        "counters",
+        &prog(
+            "IM IN YR a UPPIN YR i TIL BIGGER i AN 6\n\
+             VISIBLE i\n\
+             i R SUM OF i AN 0.5\n\
+             IM OUTTA YR a\n\
+             IM IN YR b UPPIN YR j TIL BIGGER j AN 20\n\
+             VISIBLE j\n\
+             BOTH SAEM MOD OF j AN 3 AN 0, O RLY?\n\
+             YA RLY\n\
+             j R PRODUKT OF j AN 2\n\
+             OIC\n\
+             IM OUTTA YR b\n\
+             IM IN YR c NERFIN YR k WILE BIGGER k AN -3\n\
+             VISIBLE \"K :{k}\"\n\
+             IM OUTTA YR c",
+        ),
+        &[],
+    );
+}
+
 // ---------------------------------------------------------------------
 // Multi-PE: the part the single-PE stub could never check
 // ---------------------------------------------------------------------

@@ -120,6 +120,8 @@ struct ProgramGen {
     rng: TestRng,
     next_loop: u32,
     bucket: GenBucket,
+    /// Counters of the enclosing `Typed` loops, innermost last.
+    counters: Vec<String>,
 }
 
 /// Generation bias. The default `Mixed` is the original balanced
@@ -135,6 +137,12 @@ enum GenBucket {
     /// backend must wrap identically (wrapping, like C's eventual
     /// two's-complement behaviour, is the pinned semantics).
     OverflowHeavy,
+    /// `SRSLY` NUMBR/NUMBAR scalars and arrays, counted loops (some of
+    /// which assign their own counter), i64-rim constants and
+    /// `QUOSHUNT`/`MOD`/`BIGGR`/`SMALLR`: the surface the C backend
+    /// lowers to native `long long`/`double`. No `WHATEVR`/`WHATEVAR`,
+    /// because the C RNG stream is its own.
+    Typed,
 }
 
 impl ProgramGen {
@@ -143,7 +151,7 @@ impl ProgramGen {
     }
 
     fn bucketed(seed: u64, bucket: GenBucket) -> Self {
-        ProgramGen { rng: TestRng::from_seed(seed), next_loop: 0, bucket }
+        ProgramGen { rng: TestRng::from_seed(seed), next_loop: 0, bucket, counters: Vec::new() }
     }
 
     /// A YARN-flavoured expression: concat trees over (mostly numeric,
@@ -299,6 +307,9 @@ impl ProgramGen {
     /// subsequent writes), barrier, second local phase, then print
     /// every variable so divergence anywhere becomes visible output.
     fn program(&mut self) -> String {
+        if self.bucket == GenBucket::Typed {
+            return self.typed_program();
+        }
         let decls: String = (0..5)
             .map(|i| format!("I HAS A v{i} ITZ {}\n", self.rng.below(100) as i64 - 50))
             .collect();
@@ -317,6 +328,177 @@ impl ProgramGen {
              {phase2}\n\
              SUM OF v0 AN 1\n\
              VISIBLE v0 \" \" v1 \" \" v2 \" \" v3 \" \" v4 \" \" s0 \" \" g0 \" \" IT\n\
+             KTHXBYE\n"
+        )
+    }
+}
+
+/// The `Typed` bucket's grammar: expressions, statements and whole
+/// programs over statically typed NUMBR/NUMBAR storage.
+impl ProgramGen {
+    fn typed_leaf(&mut self) -> String {
+        match self.rng.below(10) {
+            0 => (self.rng.below(40) as i64 - 20).to_string(),
+            1 => self
+                .pick(&[
+                    "9223372036854775807",               // i64::MAX
+                    "-9223372036854775807",              // i64::MIN + 1
+                    "DIFF OF -9223372036854775807 AN 1", // i64::MIN
+                    "4611686018427387904",               // 2^62
+                    "3037000499",                        // ~sqrt(i64::MAX)
+                ])
+                .to_string(),
+            // Including a signed zero and a NaN.
+            2 => self
+                .pick(&["0.5", "-2.25", "3.0", "0.0", "-0.0", "1e-3", "UNSQUAR OF -1.0"])
+                .to_string(),
+            3 => self.pick(&["n0", "n1"]).to_string(),
+            4 => self.pick(&["f0", "f1"]).to_string(),
+            5 => self.pick(&["v0", "g0"]).to_string(),
+            6 => format!("{}'Z {}", self.pick(&["a0", "d0"]), self.rng.below(8)),
+            7 => self.pick(&["s0", "sd", "d1'Z 2"]).to_string(),
+            8 => self.pick(&["ME", "MAH FRENZ"]).to_string(),
+            _ => match self.counters.len() as u64 {
+                0 => self.rng.below(5).to_string(),
+                n => self.counters[self.rng.below(n) as usize].clone(),
+            },
+        }
+    }
+
+    fn typed_expr(&mut self, depth: u32) -> String {
+        if depth == 0 || self.rng.below(3) == 0 {
+            return self.typed_leaf();
+        }
+        let d = depth - 1;
+        match self.rng.below(8) {
+            0 | 1 => {
+                let op = self.pick(&["SUM OF", "DIFF OF", "PRODUKT OF", "BIGGR OF", "SMALLR OF"]);
+                format!("{op} {} AN {}", self.typed_expr(d), self.typed_expr(d))
+            }
+            2 | 3 => {
+                // Mostly non-zero divisors (with -1 for the i64::MIN
+                // rim) so the battery runs more than it faults.
+                let op = self.pick(&["QUOSHUNT OF", "MOD OF"]);
+                let divisor = if self.rng.below(3) == 0 {
+                    self.typed_expr(d)
+                } else {
+                    self.pick(&["3", "-1", "-1", "7", "2.5", "-0.5"]).to_string()
+                };
+                // The i64::MIN dividend meets a -1 divisor now and then.
+                let dividend = if self.rng.below(4) == 0 {
+                    "DIFF OF -9223372036854775807 AN 1".to_string()
+                } else {
+                    self.typed_expr(d)
+                };
+                format!("{op} {dividend} AN {divisor}")
+            }
+            4 => {
+                let op = self.pick(&["BIGGER", "SMALLR", "BOTH SAEM", "DIFFRINT"]);
+                format!("{op} {} AN {}", self.typed_expr(d), self.typed_expr(d))
+            }
+            5 => format!(
+                "{} {}",
+                self.pick(&["SQUAR OF", "UNSQUAR OF", "FLIP OF"]),
+                self.typed_expr(d)
+            ),
+            6 => format!("MAEK {} A {}", self.typed_expr(d), self.pick(&["NUMBR", "NUMBAR"])),
+            _ => {
+                let op = self.pick(&["BOTH OF", "EITHER OF"]);
+                format!("{op} {} AN NOT {}", self.typed_expr(d), self.typed_expr(d))
+            }
+        }
+    }
+
+    fn typed_stmt(&mut self, depth: u32) -> String {
+        let kinds = if depth == 0 { 8 } else { 10 };
+        match self.rng.below(kinds) {
+            0 => format!("{} R {}", self.pick(&["n0", "n1"]), self.typed_expr(2)),
+            1 => format!("{} R {}", self.pick(&["f0", "f1"]), self.typed_expr(2)),
+            2 => format!("{} R {}", self.pick(&["v0", "s0", "sd"]), self.typed_expr(2)),
+            3 => format!("VISIBLE {}", self.typed_expr(2)),
+            4 => {
+                let arr = self.pick(&["a0", "d0", "d1"]);
+                format!("{arr}'Z {} R {}", self.rng.below(8), self.typed_expr(2))
+            }
+            5 => self.typed_expr(2), // bare expression: sets IT
+            // Whole-array copies, casting to the destination's
+            // element type.
+            6 => self.pick(&["d1 R d0", "a0 R d0", "d0 R a0"]).to_string(),
+            7 => format!("VISIBLE {} \" \" {}", self.typed_leaf(), self.typed_leaf()),
+            8 => {
+                let cond = self.typed_expr(2);
+                let yes = self.typed_block(depth - 1);
+                let no = self.typed_block(depth - 1);
+                format!("{cond}, O RLY?\nYA RLY\n{yes}\nNO WAI\n{no}\nOIC")
+            }
+            _ => {
+                let id = self.next_loop;
+                self.next_loop += 1;
+                let x = format!("x{id}");
+                let n = 1 + self.rng.below(3);
+                let kind = self.rng.below(3);
+                self.counters.push(x.clone());
+                let mut body = format!("VISIBLE \"{x}=\" {x}\n{}", self.typed_block(depth - 1));
+                self.counters.pop();
+                match kind {
+                    0 => format!(
+                        "IM IN YR lp{id} UPPIN YR {x} TIL BOTH SAEM {x} AN {n}\n{body}\nIM OUTTA YR lp{id}"
+                    ),
+                    1 => format!(
+                        "IM IN YR lp{id} NERFIN YR {x} WILE DIFFRINT {x} AN -{n}\n{body}\nIM OUTTA YR lp{id}"
+                    ),
+                    _ => {
+                        // The body assigns the counter (possibly making
+                        // it a NUMBAR); the guard still terminates.
+                        let step = self.pick(&["SUM OF {x} AN 1", "SUM OF {x} AN 0.5", "PRODUKT OF {x} AN 2"]);
+                        body.push_str(&format!("\n{x} R {}", step.replace("{x}", &x)));
+                        format!(
+                            "IM IN YR lp{id} UPPIN YR {x} TIL BIGGER {x} AN {n}\n{body}\nIM OUTTA YR lp{id}"
+                        )
+                    }
+                }
+            }
+        }
+    }
+
+    fn typed_block(&mut self, depth: u32) -> String {
+        let n = 1 + self.rng.below(3);
+        (0..n).map(|_| self.typed_stmt(depth)).collect::<Vec<_>>().join("\n")
+    }
+
+    /// Local phase, barrier-fenced remote reads of a neighbour's
+    /// shared scalars, second local phase, then print every variable.
+    fn typed_program(&mut self) -> String {
+        let n0 = self.rng.below(100) as i64 - 50;
+        let f0 = self.pick(&["0.5", "-2.25", "1e3"]);
+        let f1 = self.rng.below(9);
+        let phase1 = self.typed_block(2);
+        let phase2 = self.typed_block(2);
+        format!(
+            "HAI 1.2\n\
+             WE HAS A s0 ITZ SRSLY A NUMBR\n\
+             WE HAS A sd ITZ SRSLY A NUMBAR\n\
+             I HAS A a0 ITZ SRSLY LOTZ A NUMBRS AN THAR IZ 8\n\
+             I HAS A d0 ITZ SRSLY LOTZ A NUMBARS AN THAR IZ 8\n\
+             I HAS A d1 ITZ SRSLY LOTZ A NUMBARS AN THAR IZ 8\n\
+             I HAS A n0 ITZ SRSLY A NUMBR AN ITZ {n0}\n\
+             I HAS A n1 ITZ SRSLY A NUMBR\n\
+             I HAS A f0 ITZ SRSLY A NUMBAR AN ITZ {f0}\n\
+             I HAS A f1 ITZ SRSLY A NUMBAR AN ITZ {f1}\n\
+             I HAS A v0 ITZ {n0}\n\
+             I HAS A g0 ITZ 0.0\n\
+             {phase1}\n\
+             s0 R SUM OF PRODUKT OF ME AN 10 AN n0\n\
+             sd R f0\n\
+             HUGZ\n\
+             TXT MAH BFF MOD OF SUM OF ME AN 1 AN MAH FRENZ AN STUFF\n\
+             g0 R SUM OF UR s0 AN UR sd\n\
+             TTYL\n\
+             HUGZ\n\
+             {phase2}\n\
+             SUM OF n0 AN 1\n\
+             VISIBLE n0 \" \" n1 \" \" f0 \" \" f1 \" \" v0 \" \" s0 \" \" sd \" \" g0 \" \" IT\n\
+             VISIBLE a0'Z 0 \" \" a0'Z 7 \" \" d0'Z 0 \" \" d0'Z 5 \" \" d1'Z 1 \" \" d1'Z 6\n\
              KTHXBYE\n"
         )
     }
@@ -437,11 +619,64 @@ fn yarn_and_overflow_buckets_agree_with_full_observability() {
     }
 }
 
+/// The typed bucket through interp and the C backend at 1 and 3 PEs:
+/// per-PE outputs must be byte-identical, or both runs must fault. This
+/// is the differential oracle for the C emitter's native lowering of
+/// `SRSLY` locals, typed arrays and loop counters (and for its NUMBR
+/// wrapping, NUMBAR min/max and NUMBAR→NUMBR rules). Skips when the
+/// machine has no C compiler.
+#[test]
+fn typed_bucket_agrees_between_interp_and_c() {
+    let c_engine = engine_for(Backend::C);
+    if !c_engine.available() {
+        eprintln!("skipping: no C compiler — C engine unsupported here");
+        return;
+    }
+    let mut gen = ProgramGen::bucketed(0x7E9E_D0C5_u64, GenBucket::Typed);
+    let (mut compiled, mut ran) = (0usize, 0usize);
+    for case in 0..40u64 {
+        let src = gen.program();
+        let Ok(artifact) = compile(&src) else { continue };
+        compiled += 1;
+        let configs: Vec<RunConfig> = [1usize, 3]
+            .into_iter()
+            .map(|n| RunConfig::new(n).seed(case).timeout(Duration::from_secs(20)))
+            .collect();
+        let interp = InterpEngine.run_many(&artifact, &configs);
+        let c = c_engine.run_many(&artifact, &configs);
+        for ((cfg, a), b) in configs.iter().zip(interp).zip(c) {
+            match (a, b) {
+                (Ok(x), Ok(y)) => {
+                    ran += 1;
+                    assert_eq!(
+                        x.outputs, y.outputs,
+                        "typed case {case}: C diverges from interp at {} PEs on:\n{src}",
+                        cfg.n_pes
+                    );
+                }
+                (Err(_), Err(_)) => {} // both faulted: fine
+                (a, b) => panic!(
+                    "typed case {case}: interp and C disagree about faulting at {} PEs: \
+                     {:?} vs {:?}\n{src}",
+                    cfg.n_pes,
+                    a.map(|r| r.outputs),
+                    b.map(|r| r.outputs)
+                ),
+            }
+        }
+    }
+    assert!(compiled >= 30, "only {compiled}/40 typed programs compiled — generator drifted");
+    assert!(ran >= compiled, "only {ran} clean runs of {compiled} programs — too fault-happy");
+}
+
 /// Non-finite NUMBARs must render identically everywhere — the
 /// cross-backend bug this PR fixes: interp/vm used Rust's `NaN`/`inf`
 /// spellings while the C runtime (and platform printf quirks) said
 /// `nan`/`-nan`. The pinned spelling is C's lowercase `nan`, `inf`,
 /// `-inf` on every backend, in VISIBLE, MAEK ... A YARN and SMOOSH.
+/// `BIGGR OF`/`SMALLR OF` with one NaN operand yield the other operand
+/// everywhere, on the C backend's typed (literal) and boxed (`nan`)
+/// paths alike.
 #[test]
 fn non_finite_numbars_render_identically_on_every_backend() {
     let src = "\
@@ -456,6 +691,10 @@ VISIBLE ninf
 VISIBLE modnan
 VISIBLE MAEK pinf A YARN
 VISIBLE SMOOSH \"N=\" AN nan AN \" P=\" AN pinf AN \" M=\" AN ninf MKAY
+VISIBLE BIGGR OF 1.0 AN QUOSHUNT OF 0.0 AN 0.0
+VISIBLE SMALLR OF 1.0 AN QUOSHUNT OF 0.0 AN 0.0
+VISIBLE BIGGR OF 1.0 AN nan \" \" BIGGR OF nan AN 1.0
+VISIBLE SMALLR OF 1.0 AN nan \" \" SMALLR OF nan AN 1.0
 KTHXBYE
 ";
     let artifact = compile(src).unwrap();
@@ -463,7 +702,18 @@ KTHXBYE
     let reference = InterpEngine.run(&artifact, &cfg).unwrap();
     assert_eq!(
         reference.outputs[0].lines().collect::<Vec<_>>(),
-        ["nan", "inf", "-inf", "nan", "inf", "N=nan P=inf M=-inf"],
+        [
+            "nan",
+            "inf",
+            "-inf",
+            "nan",
+            "inf",
+            "N=nan P=inf M=-inf",
+            "1.00",
+            "1.00",
+            "1.00 1.00",
+            "1.00 1.00"
+        ],
         "the pinned C spelling of non-finite NUMBARs"
     );
     for backend in Backend::ALL {
