@@ -14,7 +14,8 @@
 use std::process::ExitCode;
 
 use lol_serve::bench::{run, BenchSpec};
-use lol_serve::{json, ServeConfig, Server};
+use lol_serve::json::Json;
+use lol_serve::{ServeConfig, Server};
 
 const USAGE: &str = "\
 usage: lold-bench [--addr HOST:PORT] [--clients N] [--requests M]
@@ -114,13 +115,12 @@ fn main() -> ExitCode {
         },
         None => lolcode::corpus::HELLO_PARALLEL.to_string(),
     };
-    let body = format!(
-        "{{\"source\": \"{}\", \"backend\": \"{}\", \"pes\": {}, \"clock\": \"{}\"}}",
-        json::escape(&source),
-        json::escape(&backend),
-        pes,
-        json::escape(&clock)
-    );
+    let body = Json::object()
+        .with("source", source)
+        .with("backend", backend)
+        .with("pes", pes)
+        .with("clock", clock)
+        .to_string();
 
     // No --addr: spawn the server in-process, sized so no client ever
     // starves for a worker (each worker pins one connection).

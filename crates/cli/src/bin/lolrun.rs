@@ -18,6 +18,7 @@
 //! pool under a global thread budget; `--sweep "backend=interp,vm"`
 //! diffs two engines on the same artifact.
 
+use lol_obs::json::Json;
 use lolcode::{
     compile, engine_for, jsonl_record, parse_jsonl_done, Backend, BarrierKind, ClockMode, Compiled,
     LatencyModel, LockKind, RunConfig, RunReport, SweepSpec, TraceSpec,
@@ -633,16 +634,15 @@ fn run_sweep(artifact: &Compiled, spec: &str, base: RunConfig, opts: SweepOpts) 
         let report = spec.run_resumable(artifact, &done, |i, cfg, result| {
             println!("{}", jsonl_record(i, cfg, result));
         });
-        println!(
-            "{{\"summary\": true, \"configs\": {}, \"ok\": {}, \"unsupported\": {}, \
-             \"skipped\": {}, \"jobs\": {}, \"total_wall_ns\": {}}}",
-            report.entries.len(),
-            report.ok_count(),
-            report.unsupported_count(),
-            report.skipped_count(),
-            report.jobs,
-            report.total_wall.as_nanos()
-        );
+        let summary = Json::object()
+            .with("summary", true)
+            .with("configs", report.entries.len())
+            .with("ok", report.ok_count())
+            .with("unsupported", report.unsupported_count())
+            .with("skipped", report.skipped_count())
+            .with("jobs", report.jobs)
+            .with("total_wall_ns", report.total_wall.as_nanos());
+        println!("{summary}");
         report
     } else {
         let report = spec.run_resumable(artifact, &done, |_, _, _| {});

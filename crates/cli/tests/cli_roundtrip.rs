@@ -1,6 +1,7 @@
 //! Experiment VI.E — the command-line workflow:
 //! `lcc code.lol -o out.c` and `lolrun -np N code.lol`.
 
+use lol_obs::json;
 use std::io::Write;
 use std::process::{Command, Stdio};
 
@@ -159,6 +160,13 @@ fn lolrun_json_lines_streams_one_record_per_config() {
     }
     assert!(lines[3].contains("\"summary\": true"), "{stdout}");
     assert!(lines[3].contains("\"ok\": 3"), "{stdout}");
+    // Every line, the summary included, is one strict JSON object.
+    for line in &lines {
+        json::parse(line).unwrap_or_else(|e| panic!("strict JSON ({e}): {line}"));
+    }
+    let summary = json::parse(lines[3]).unwrap();
+    assert_eq!(summary.get("configs").and_then(json::Json::as_u64), Some(3));
+    assert_eq!(summary.get("skipped").and_then(json::Json::as_u64), Some(0));
     // --json and --json-lines are mutually exclusive.
     let out = Command::new(env!("CARGO_BIN_EXE_lolrun"))
         .args(["--sweep", "pes=1", "--json", "--json-lines"])

@@ -12,7 +12,7 @@
 
 use crate::sweep;
 use crate::{Backend, LolError, RunConfig, RunReport};
-use lol_obs::json_escape;
+use lol_obs::json::Json;
 use std::time::Duration;
 
 // ---------------------------------------------------------------------
@@ -273,88 +273,72 @@ pub fn error_code(err: &LolError) -> &'static str {
 /// assert!(run_report_json(&a, true).contains("\"host_wall_ns\""));
 /// ```
 pub fn run_report_json(r: &RunReport, timing: bool) -> String {
-    let mut out = String::from("{");
     // The effective config, pinned to the backend that actually ran
     // (callers may leave RunConfig::backend at its default).
     let mut cfg = r.config.clone();
     cfg.backend = r.backend;
+    let mut out = Json::object();
     sweep::push_config_fields(&mut out, &cfg);
-    out.push_str("\"ok\": true, ");
+    out.push("ok", true);
     if timing {
-        out.push_str(&format!("\"wall_ns\": {}, ", r.wall.as_nanos()));
-        out.push_str(&format!("\"host_wall_ns\": {}, ", r.host_wall.as_nanos()));
+        out.push("wall_ns", r.wall.as_nanos());
+        out.push("host_wall_ns", r.host_wall.as_nanos());
         // Observability riders: host-dependent like the walls, so they
         // live on the timing form only — the stable form stays pinned.
         let p = &r.phases;
-        out.push_str(&format!(
-            "\"phases\": {{\"lex_ns\": {}, \"parse_ns\": {}, \"sema_ns\": {}, \
-             \"compile_ns\": {}, \"exec_ns\": {}, \"render_ns\": {}}}, ",
-            p.lex_ns, p.parse_ns, p.sema_ns, p.compile_ns, p.exec_ns, p.render_ns
-        ));
+        let phases = Json::object()
+            .with("lex_ns", p.lex_ns)
+            .with("parse_ns", p.parse_ns)
+            .with("sema_ns", p.sema_ns)
+            .with("compile_ns", p.compile_ns)
+            .with("exec_ns", p.exec_ns)
+            .with("render_ns", p.render_ns);
+        out.push("phases", phases);
         if let Some(s) = &r.sim {
-            out.push_str(&format!(
-                "\"sim\": {{\"events\": {}, \"heap_peak\": {}, \"barrier_episodes\": {}, \
-                 \"merge_windows\": {}, \"events_per_sec\": {}}}, ",
-                s.events,
-                s.heap_peak,
-                s.barrier_episodes,
-                s.merge_windows,
-                s.events_per_sec(r.host_wall)
-            ));
+            let sim = Json::object()
+                .with("events", s.events)
+                .with("heap_peak", s.heap_peak)
+                .with("barrier_episodes", s.barrier_episodes)
+                .with("merge_windows", s.merge_windows)
+                .with("events_per_sec", s.events_per_sec(r.host_wall));
+            out.push("sim", sim);
         }
         if let Some(p) = &r.profile {
-            out.push_str(&format!(
-                "\"profile\": {{\"total_ops\": {}, \"super_bp\": {}, \"ops\": [",
-                p.total_ops, p.super_bp
-            ));
-            for (i, (name, count, is_super)) in p.ops.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&format!(
-                    "{{\"op\": \"{}\", \"count\": {count}, \"super\": {is_super}}}",
-                    json_escape(name)
-                ));
-            }
-            out.push_str("], \"hot\": [");
-            for (i, h) in p.hot.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&format!(
-                    "{{\"chunk\": \"{}\", \"start\": {}, \"end\": {}, \"count\": {}}}",
-                    json_escape(&h.chunk),
-                    h.start,
-                    h.end,
-                    h.count
-                ));
-            }
-            out.push_str("]}, ");
+            let ops = p.ops.iter().map(|(name, count, is_super)| {
+                Json::object()
+                    .with("op", name.as_str())
+                    .with("count", *count)
+                    .with("super", *is_super)
+            });
+            let hot = p.hot.iter().map(|h| {
+                Json::object()
+                    .with("chunk", h.chunk.as_str())
+                    .with("start", h.start)
+                    .with("end", h.end)
+                    .with("count", h.count)
+            });
+            let profile = Json::object()
+                .with("total_ops", p.total_ops)
+                .with("super_bp", p.super_bp)
+                .with("ops", Json::Arr(ops.collect()))
+                .with("hot", Json::Arr(hot.collect()));
+            out.push("profile", profile);
         }
     }
     if let Some(vw) = r.virtual_wall {
-        out.push_str(&format!("\"virtual_wall_ns\": {}, ", vw.as_nanos()));
+        out.push("virtual_wall_ns", vw.as_nanos());
     }
-    out.push_str(&format!("\"output_hash\": \"{:016x}\", ", sweep::output_hash(r)));
-    out.push_str("\"outputs\": [");
-    for (i, o) in r.outputs.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push('"');
-        out.push_str(&json_escape(o));
-        out.push('"');
-    }
-    out.push_str("], ");
+    out.push("output_hash", format!("{:016x}", sweep::output_hash(r)));
+    out.push("outputs", Json::Arr(r.outputs.iter().map(|o| Json::from(o.as_str())).collect()));
     sweep::push_stats_json(&mut out, r);
-    out.push('}');
-    out
+    out.to_string()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{compile, engine_for, SpmdError};
+    use lol_obs::json::parse;
 
     #[test]
     fn status_mapping_is_pinned() {
@@ -437,8 +421,41 @@ mod tests {
         assert!(!json.contains("wall_ns"), "stable form carries no host timing: {json}");
         let timed = run_report_json(&a, true);
         assert!(timed.contains("\"wall_ns\"") && timed.contains("\"host_wall_ns\""));
-        // Balanced-brackets sanity, like the sweep JSON tests.
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
+        for text in [&json, &timed] {
+            let parsed = parse(text).unwrap_or_else(|e| panic!("strict JSON ({e}): {text}"));
+            let outputs = parsed.get("outputs").and_then(Json::as_arr).unwrap();
+            assert_eq!(outputs[1].as_str(), Some("HAI ITZ 1 OF 2\n"));
+        }
+    }
+
+    #[test]
+    fn run_report_json_riders_are_strict_json() {
+        let artifact = compile(crate::corpus::RING_EXAMPLE).unwrap();
+        // The profile rider (VM) and the sim rider, in both forms.
+        let profiled = RunConfig::new(2).backend(Backend::Vm).profile(true);
+        let vm = engine_for(Backend::Vm).run(&artifact, &profiled).unwrap();
+        let sim_cfg = RunConfig::new(4).backend(Backend::Sim).clock(crate::ClockMode::Virtual);
+        let sim = engine_for(Backend::Sim).run(&artifact, &sim_cfg).unwrap();
+        for (report, rider) in [(&vm, "profile"), (&sim, "sim")] {
+            for timing in [false, true] {
+                let text = run_report_json(report, timing);
+                let parsed = parse(&text).unwrap_or_else(|e| panic!("strict JSON ({e}): {text}"));
+                assert_eq!(parsed.get(rider).is_some(), timing, "{text}");
+                assert_eq!(parsed.get("phases").is_some(), timing, "{text}");
+            }
+        }
+        let timed = parse(&run_report_json(&vm, true)).unwrap();
+        let profile = timed.get("profile").unwrap();
+        let ops = profile.get("ops").and_then(Json::as_arr).unwrap();
+        assert!(
+            !ops.is_empty() && ops.iter().all(|op| op.get("op").and_then(Json::as_str).is_some())
+        );
+        assert!(profile.get("hot").and_then(Json::as_arr).is_some());
+        let stats = timed.get("stats").unwrap();
+        assert_eq!(
+            stats.get("remote_fraction").map(|f| f.to_string().len()),
+            Some(6),
+            "remote_fraction keeps four decimals"
+        );
     }
 }

@@ -47,8 +47,9 @@ use crate::{
     engine_for, Backend, BarrierKind, ClockMode, Compiled, LatencyModel, LockKind, LolError,
     RunConfig, RunReport,
 };
-use lol_obs::json_escape;
+use lol_obs::json::{self, Json};
 use std::collections::HashSet;
+use std::fmt::Display;
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -804,49 +805,32 @@ impl SweepEntry {
 /// ([`SweepSpec::run_resumable`]) and the JSONL done-set parser agree
 /// on this format.
 pub fn config_key(c: &RunConfig) -> String {
-    format!(
-        "{}|{}|{}|{}|{}|{}|{}",
-        c.backend, c.latency, c.barrier, c.lock, c.clock, c.seed, c.n_pes
-    )
+    identity_key([&c.backend, &c.latency, &c.barrier, &c.lock, &c.clock], c.seed, c.n_pes as u64)
+}
+
+/// The one home of the [`config_key`] format.
+fn identity_key(names: [&dyn Display; 5], seed: u64, pes: u64) -> String {
+    let [backend, latency, barrier, lock, clock] = names;
+    format!("{backend}|{latency}|{barrier}|{lock}|{clock}|{seed}|{pes}")
 }
 
 /// Collect the [`config_key`]s of every *successful* entry in a
 /// previous sweep's `--json-lines` output. Feed the result to
 /// [`SweepSpec::run_resumable`] to re-run only the missing/failed
-/// configs. Records without a `clock` field (pre-virtual-time files)
-/// parse as `wall`; summary records and malformed lines are ignored.
+/// configs. Only a line that parses as one complete JSON object with
+/// `"ok": true` and every identity field counts: a record truncated
+/// mid-write, a failure, a summary record or junk is ignored. Records
+/// without a `clock` field (pre-virtual-time files) parse as `wall`.
 pub fn parse_jsonl_done(text: &str) -> HashSet<String> {
-    let str_field = |line: &str, name: &str| -> Option<String> {
-        let tag = format!("\"{name}\": \"");
-        let start = line.find(&tag)? + tag.len();
-        Some(line[start..].split('"').next()?.to_string())
-    };
-    let num_field = |line: &str, name: &str| -> Option<u64> {
-        let tag = format!("\"{name}\": ");
-        let start = line.find(&tag)? + tag.len();
-        let digits: String = line[start..].chars().take_while(char::is_ascii_digit).collect();
-        digits.parse().ok()
-    };
-    let mut done = HashSet::new();
-    for line in text.lines() {
-        if !line.contains("\"ok\": true") || line.contains("\"summary\"") {
-            continue;
-        }
-        let (Some(backend), Some(latency), Some(barrier), Some(lock)) = (
-            str_field(line, "backend"),
-            str_field(line, "latency"),
-            str_field(line, "barrier"),
-            str_field(line, "lock"),
-        ) else {
-            continue;
-        };
-        let clock = str_field(line, "clock").unwrap_or_else(|| "wall".to_string());
-        let (Some(seed), Some(pes)) = (num_field(line, "seed"), num_field(line, "pes")) else {
-            continue;
-        };
-        done.insert(format!("{backend}|{latency}|{barrier}|{lock}|{clock}|{seed}|{pes}"));
+    fn done_key(record: &Json) -> Option<String> {
+        let name = |key| record.get(key).and_then(Json::as_str);
+        let clock = record.get("clock").map_or(Some("wall"), Json::as_str)?;
+        let names: [&dyn Display; 5] =
+            [&name("backend")?, &name("latency")?, &name("barrier")?, &name("lock")?, &clock];
+        let key = identity_key(names, record.get("seed")?.as_u64()?, record.get("pes")?.as_u64()?);
+        record.get("ok")?.as_bool()?.then_some(key)
     }
-    done
+    text.lines().filter_map(|line| done_key(&json::parse(line).ok()?)).collect()
 }
 
 /// FNV-1a hash over per-PE outputs (stable fingerprint for
@@ -877,83 +861,76 @@ pub fn jsonl_record(
     config: &RunConfig,
     result: &Result<RunReport, LolError>,
 ) -> String {
-    let mut out = String::from("{");
-    push_config_json(&mut out, index, config);
+    let mut record = Json::object().with("index", index);
+    push_config_fields(&mut record, config);
     match result {
         Ok(r) => {
-            out.push_str("\"ok\": true, ");
-            out.push_str(&format!("\"wall_ns\": {}, ", r.wall.as_nanos()));
+            record.push("ok", true);
+            record.push("wall_ns", r.wall.as_nanos());
             // Real host time, distinct from `wall_ns` on the sim
             // backend (whose wall is the *simulated* makespan) — this
             // is the number absolute perf gates compare.
-            out.push_str(&format!("\"host_wall_ns\": {}, ", r.host_wall.as_nanos()));
-            if let Some(vw) = r.virtual_wall {
-                out.push_str(&format!("\"virtual_wall_ns\": {}, ", vw.as_nanos()));
-            }
-            out.push_str(&format!("\"output_hash\": \"{:016x}\", ", output_hash(r)));
-            push_stats_json(&mut out, r);
+            record.push("host_wall_ns", r.host_wall.as_nanos());
+            push_outcome_json(&mut record, r);
         }
-        Err(err) => push_error_json(&mut out, err),
+        Err(err) => push_error_json(&mut record, err),
     }
-    out.push('}');
-    out
+    record.to_string()
 }
 
-/// The shared per-entry identification prefix (`"index"` through
-/// `"lock"`), used by both the streaming records and the final
-/// report so the two serializations can never drift apart.
-fn push_config_json(out: &mut String, index: usize, config: &RunConfig) {
-    out.push_str(&format!("\"index\": {index}, "));
-    push_config_fields(out, config);
-}
-
-/// The config-identity fields alone (`"backend"` through `"clock"`),
-/// shared with the single-run report JSON the playground service and
-/// `lolrun --json` emit ([`crate::service::run_report_json`]) — one
-/// serialization, three surfaces.
-pub(crate) fn push_config_fields(out: &mut String, config: &RunConfig) {
-    out.push_str(&format!("\"backend\": \"{}\", ", config.backend));
-    out.push_str(&format!("\"pes\": {}, ", config.n_pes));
-    out.push_str(&format!("\"seed\": {}, ", config.seed));
-    out.push_str(&format!("\"latency\": \"{}\", ", config.latency));
-    out.push_str(&format!("\"barrier\": \"{}\", ", config.barrier));
-    out.push_str(&format!("\"lock\": \"{}\", ", config.lock));
-    out.push_str(&format!("\"clock\": \"{}\", ", config.clock));
+/// The config-identity fields (`"backend"` through `"clock"`), shared
+/// by the streaming records, the final report and the single-run
+/// report JSON the playground service and `lolrun --json` emit
+/// ([`crate::service::run_report_json`]) — one serialization, three
+/// surfaces.
+pub(crate) fn push_config_fields(out: &mut Json, config: &RunConfig) {
+    out.push("backend", config.backend.to_string());
+    out.push("pes", config.n_pes);
+    out.push("seed", config.seed);
+    out.push("latency", config.latency.to_string());
+    out.push("barrier", config.barrier.to_string());
+    out.push("lock", config.lock.to_string());
+    out.push("clock", config.clock.to_string());
 }
 
 /// The shared failure arm: `"ok": false` plus the unsupported/skipped
 /// flags and the rendered error.
-fn push_error_json(out: &mut String, err: &LolError) {
-    out.push_str("\"ok\": false, ");
+fn push_error_json(out: &mut Json, err: &LolError) {
+    out.push("ok", false);
     if err.is_unsupported() {
-        out.push_str("\"unsupported\": true, ");
+        out.push("unsupported", true);
     }
     if err.is_skipped() {
-        out.push_str("\"skipped\": true, ");
+        out.push("skipped", true);
     }
-    out.push_str(&format!("\"error\": \"{}\"", json_escape(&err.to_string())));
+    out.push("error", err.to_string());
+}
+
+/// The tail of an ok entry. Virtual walls are deterministic, so they
+/// belong in the byte-stable JSON too: CI diffs them across machines.
+fn push_outcome_json(out: &mut Json, r: &RunReport) {
+    if let Some(vw) = r.virtual_wall {
+        out.push("virtual_wall_ns", vw.as_nanos());
+    }
+    out.push("output_hash", format!("{:016x}", output_hash(r)));
+    push_stats_json(out, r);
 }
 
 /// The shared `"stats": {...}` object (job-wide totals).
-pub(crate) fn push_stats_json(out: &mut String, r: &RunReport) {
+pub(crate) fn push_stats_json(out: &mut Json, r: &RunReport) {
     let t = r.total_stats();
-    out.push_str(&format!(
-        "\"stats\": {{\"local_gets\": {}, \"remote_gets\": {}, \
-         \"local_puts\": {}, \"remote_puts\": {}, \
-         \"block_get_words\": {}, \"block_put_words\": {}, \
-         \"amos\": {}, \"barriers_per_pe\": {}, \
-         \"lock_acquires\": {}, \"remote_fraction\": {:.4}}}",
-        t.local_gets,
-        t.remote_gets,
-        t.local_puts,
-        t.remote_puts,
-        t.block_get_words,
-        t.block_put_words,
-        t.amos,
-        r.stats.first().map(|s| s.barriers).unwrap_or(0),
-        t.lock_acquires,
-        t.remote_fraction(),
-    ));
+    let stats = Json::object()
+        .with("local_gets", t.local_gets)
+        .with("remote_gets", t.remote_gets)
+        .with("local_puts", t.local_puts)
+        .with("remote_puts", t.remote_puts)
+        .with("block_get_words", t.block_get_words)
+        .with("block_put_words", t.block_put_words)
+        .with("amos", t.amos)
+        .with("barriers_per_pe", r.stats.first().map(|s| s.barriers).unwrap_or(0))
+        .with("lock_acquires", t.lock_acquires)
+        .with("remote_fraction", Json::num(format_args!("{:.4}", t.remote_fraction())));
+    out.push("stats", stats);
 }
 
 /// Aggregated result of a [`SweepSpec::run`]: entries in config order
@@ -1175,50 +1152,41 @@ impl SweepReport {
         self.render_json(false)
     }
 
+    /// One header field and one compact entry object per line.
     fn render_json(&self, timing: bool) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"configs\": {},\n", self.entries.len()));
-        out.push_str(&format!("  \"ok\": {},\n", self.ok_count()));
+        let mut header = vec![("configs", Json::from(self.entries.len()))];
+        header.push(("ok", Json::from(self.ok_count())));
         if timing {
-            out.push_str(&format!("  \"jobs\": {},\n", self.jobs));
-            out.push_str(&format!("  \"total_wall_ns\": {},\n", self.total_wall.as_nanos()));
+            header.push(("jobs", Json::from(self.jobs)));
+            header.push(("total_wall_ns", Json::from(self.total_wall.as_nanos())));
+        }
+        let mut out = String::from("{\n");
+        for (key, value) in header {
+            out.push_str(&format!("  {}: {value},\n", Json::from(key)));
         }
         out.push_str("  \"entries\": [");
         for (i, e) in self.entries.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    {");
-            push_config_json(&mut out, i, &e.config);
+            let mut entry = Json::object().with("index", i);
+            push_config_fields(&mut entry, &e.config);
             match &e.result {
                 Ok(r) => {
-                    out.push_str("\"ok\": true, ");
+                    entry.push("ok", true);
                     if timing {
-                        out.push_str(&format!("\"wall_ns\": {}, ", r.wall.as_nanos()));
-                        out.push_str(&format!("\"host_wall_ns\": {}, ", r.host_wall.as_nanos()));
-                        let opt = |v: Option<f64>| match v {
-                            Some(v) => format!("{v:.4}"),
-                            None => "null".to_string(),
+                        entry.push("wall_ns", r.wall.as_nanos());
+                        entry.push("host_wall_ns", r.host_wall.as_nanos());
+                        let ratio = |v: Option<f64>| {
+                            v.map_or(Json::Null, |v| Json::num(format_args!("{v:.4}")))
                         };
-                        out.push_str(&format!("\"speedup\": {}, ", opt(e.speedup)));
-                        out.push_str(&format!("\"efficiency\": {}, ", opt(e.efficiency)));
-                        out.push_str(&format!("\"vs_interp\": {}, ", opt(e.vs_interp)));
+                        entry.push("speedup", ratio(e.speedup));
+                        entry.push("efficiency", ratio(e.efficiency));
+                        entry.push("vs_interp", ratio(e.vs_interp));
                     }
-                    // Virtual walls are deterministic, so they belong
-                    // in the byte-stable JSON too — that's what lets
-                    // CI diff machine-independent timing.
-                    if let Some(vw) = r.virtual_wall {
-                        out.push_str(&format!("\"virtual_wall_ns\": {}, ", vw.as_nanos()));
-                    }
-                    out.push_str(&format!(
-                        "\"output_hash\": \"{:016x}\", ",
-                        e.output_hash().expect("ok entry hashes")
-                    ));
-                    push_stats_json(&mut out, r);
+                    push_outcome_json(&mut entry, r);
                 }
-                Err(err) => push_error_json(&mut out, err),
+                Err(err) => push_error_json(&mut entry, err),
             }
-            out.push('}');
+            let sep = if i > 0 { "," } else { "" };
+            out.push_str(&format!("{sep}\n    {entry}"));
         }
         out.push_str("\n  ]\n}\n");
         out
@@ -1320,6 +1288,9 @@ mod tests {
         // The failed entry still renders in table and JSON.
         assert!(report.speedup_table().contains("FAILED"));
         assert!(report.to_json().contains("\"ok\": false"));
+        let parsed = json::parse(&report.to_json()).expect("a failed entry keeps the JSON strict");
+        let failed = &parsed.get("entries").and_then(Json::as_arr).unwrap()[1];
+        assert!(failed.get("error").and_then(Json::as_str).unwrap().contains("RUN0001"));
     }
 
     #[test]
@@ -1403,10 +1374,10 @@ mod tests {
         assert!(!stable.contains("speedup"));
         assert!(!stable.contains("\"jobs\""));
         assert!(stable.contains("\"output_hash\""));
-        // Balanced braces/brackets (cheap well-formedness check).
-        for json in [&full, &stable] {
-            assert_eq!(json.matches('{').count(), json.matches('}').count());
-            assert_eq!(json.matches('[').count(), json.matches(']').count());
+        for text in [&full, &stable] {
+            let parsed = json::parse(text).unwrap_or_else(|e| panic!("strict JSON ({e}): {text}"));
+            assert_eq!(parsed.get("configs").and_then(Json::as_usize), Some(2));
+            assert_eq!(parsed.get("entries").and_then(Json::as_arr).map(<[Json]>::len), Some(2));
         }
     }
 
@@ -1556,12 +1527,22 @@ mod tests {
         assert_eq!(lines.len(), 2);
         for line in &lines {
             assert!(!line.contains('\n'), "JSONL records must be single-line");
-            assert_eq!(line.matches('{').count(), line.matches('}').count());
+            json::parse(line)
+                .unwrap_or_else(|e| panic!("record must be strict JSON ({e}): {line}"));
         }
         assert!(lines[0].contains("\"ok\": true"));
         assert!(lines[0].contains("\"output_hash\""));
         assert!(lines[1].contains("\"ok\": false"));
         assert!(lines[1].contains("RUN0001"));
+        // An error message with quotes and newlines stays one strict
+        // JSON line and reads back verbatim.
+        let err = LolError::Unsupported("no \"cc\" here\nnor\tthere".into());
+        let line = jsonl_record(7, &spec.configs()[0], &Err(err.clone()));
+        assert!(!line.contains('\n'), "{line}");
+        let record = json::parse(&line).unwrap();
+        assert_eq!(record.get("ok").and_then(Json::as_bool), Some(false));
+        assert_eq!(record.get("unsupported").and_then(Json::as_bool), Some(true));
+        assert_eq!(record.get("error").and_then(Json::as_str), Some(err.to_string().as_str()));
     }
 
     #[test]

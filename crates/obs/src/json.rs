@@ -1,25 +1,29 @@
-//! A small, strict, dependency-free JSON parser for request bodies.
+//! The workspace's one JSON layer: a strict parser and a compact
+//! renderer over one [`Json`] value, both dependency-free.
 //!
-//! The service never trusts a client: inputs are bounded before they
-//! reach this module (the HTTP layer enforces the body-size quota),
-//! and the parser itself is **total** — any byte sequence produces
-//! either a [`Json`] value or a [`JsonError`], never a panic, never
-//! unbounded work (nesting is capped at [`MAX_DEPTH`]). Strictness
-//! choices that matter for a service:
+//! Every JSON document the toolchain writes is a [`Json`] value
+//! rendered in the house style: `{"k": v, "k2": v2}` and `[a, b]` on
+//! one line, strings escaped by [`escape`], and a [`Json::Num`] printed
+//! verbatim, so a `{:.4}` float or a `u64` keeps its emitter's text.
+//! Everything read back goes through [`parse`], which is **total** (any
+//! input yields a value or a [`JsonError`], never a panic; nesting is
+//! capped at [`MAX_DEPTH`]) and strict:
 //!
 //! * **Duplicate keys are an error.** `{"pes": 1, "pes": 64000}`
 //!   is a smuggling vector (which one did the quota check see?), so
 //!   it is rejected outright instead of last-one-wins.
 //! * **Numbers keep their raw text.** A `u64` seed round-trips
 //!   exactly; nothing is forced through `f64`.
-//! * **Exactly one value per body.** Trailing non-whitespace is an
-//!   error.
+//! * **Exactly one value per document.** Trailing non-whitespace is
+//!   an error, so a truncated or concatenated record never parses.
+
+use std::fmt;
 
 /// Nesting cap: arrays/objects deeper than this are rejected (a
 /// 10 kB body of `[[[[…` must not recurse 5 000 frames).
 pub const MAX_DEPTH: usize = 64;
 
-/// A parsed JSON value. Object fields keep their textual order.
+/// A JSON value. Object fields keep their textual order.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Json {
     /// `null`
@@ -40,10 +44,7 @@ pub enum Json {
 impl Json {
     /// Object field lookup (None for missing fields or non-objects).
     pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
+        self.as_obj()?.iter().find(|(k, _)| k == key).map(|(_, v)| v)
     }
 
     /// The string payload, if this is a string.
@@ -72,10 +73,7 @@ impl Json {
 
     /// Parse the raw number as `usize`.
     pub fn as_usize(&self) -> Option<usize> {
-        match self {
-            Json::Num(raw) => raw.parse().ok(),
-            _ => None,
-        }
+        self.as_u64()?.try_into().ok()
     }
 
     /// The array elements, if this is an array.
@@ -93,10 +91,141 @@ impl Json {
             _ => None,
         }
     }
+
+    /// An empty object, to fill with [`Json::with`] / [`Json::push`].
+    pub fn object() -> Json {
+        Json::Obj(Vec::new())
+    }
+
+    /// A number printed from `n`'s `Display` text, which must be a JSON
+    /// number (an integer, or a `{:.N}`-formatted finite float).
+    pub fn num(n: impl fmt::Display) -> Json {
+        Json::Num(n.to_string())
+    }
+
+    /// Append `key: value` to an object.
+    ///
+    /// # Panics
+    /// If `self` is not an object — a bug in the emitter.
+    pub fn push(&mut self, key: &str, value: impl Into<Json>) {
+        match self {
+            Json::Obj(fields) => fields.push((key.to_string(), value.into())),
+            other => panic!("Json::push on a non-object: {other:?}"),
+        }
+    }
+
+    /// [`Json::push`] by value, to build an object in one expression.
+    pub fn with(mut self, key: &str, value: impl Into<Json>) -> Json {
+        self.push(key, value);
+        self
+    }
+
+    /// Append the rendering to `out` (the [`Display`](fmt::Display)
+    /// impl's body; one buffer for the whole tree).
+    fn render_into(&self, out: &mut String) {
+        match self {
+            Json::Null => out.push_str("null"),
+            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Json::Num(raw) => out.push_str(raw),
+            Json::Str(s) => push_quoted(out, s),
+            Json::Arr(items) => {
+                out.push('[');
+                for (i, item) in items.iter().enumerate() {
+                    out.push_str(if i > 0 { ", " } else { "" });
+                    item.render_into(out);
+                }
+                out.push(']');
+            }
+            Json::Obj(fields) => {
+                out.push('{');
+                for (i, (key, value)) in fields.iter().enumerate() {
+                    out.push_str(if i > 0 { ", " } else { "" });
+                    push_quoted(out, key);
+                    out.push_str(": ");
+                    value.render_into(out);
+                }
+                out.push('}');
+            }
+        }
+    }
+}
+
+impl From<bool> for Json {
+    fn from(b: bool) -> Json {
+        Json::Bool(b)
+    }
+}
+
+impl From<&str> for Json {
+    fn from(s: &str) -> Json {
+        Json::Str(s.to_string())
+    }
+}
+
+impl From<String> for Json {
+    fn from(s: String) -> Json {
+        Json::Str(s)
+    }
+}
+
+macro_rules! from_integer {
+    ($($t:ty),*) => {$(
+        impl From<$t> for Json {
+            fn from(n: $t) -> Json {
+                Json::num(n)
+            }
+        }
+    )*};
+}
+from_integer!(u32, u64, u128, usize);
+
+/// The compact renderer: `{"k": v, "k2": v2}`, `[a, b]`, escaped
+/// strings, raw number text.
+impl fmt::Display for Json {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut out = String::new();
+        self.render_into(&mut out);
+        f.write_str(&out)
+    }
+}
+
+fn push_quoted(out: &mut String, s: &str) {
+    out.push('"');
+    push_escaped(out, s);
+    out.push('"');
+}
+
+/// Append `s` with quotes, backslashes and control characters escaped.
+fn push_escaped(out: &mut String, s: &str) {
+    let mut plain = 0;
+    for (i, ch) in s.char_indices() {
+        if ch >= ' ' && ch != '"' && ch != '\\' {
+            continue;
+        }
+        out.push_str(&s[plain..i]);
+        match ch {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c => out.push_str(&format!("\\u{:04x}", c as u32)),
+        }
+        plain = i + ch.len_utf8();
+    }
+    out.push_str(&s[plain..]);
+}
+
+/// Escape `s` for embedding in a JSON string literal (no surrounding
+/// quotes) — the escaper the renderer uses for every string and key.
+pub fn escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    push_escaped(&mut out, s);
+    out
 }
 
 /// A parse failure: what went wrong and the byte offset it happened
-/// at. Always a client error (HTTP 400).
+/// at (`lold` answers it as a client error, HTTP 400).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct JsonError {
     /// Human-readable description.
@@ -116,7 +245,7 @@ impl std::error::Error for JsonError {}
 /// Parse exactly one JSON value from `input` (leading/trailing
 /// whitespace allowed, anything else after the value is an error).
 pub fn parse(input: &str) -> Result<Json, JsonError> {
-    let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
+    let mut p = Parser { src: input, bytes: input.as_bytes(), pos: 0 };
     p.skip_ws();
     let value = p.value(0)?;
     p.skip_ws();
@@ -127,6 +256,7 @@ pub fn parse(input: &str) -> Result<Json, JsonError> {
 }
 
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -181,67 +311,75 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn object(&mut self, depth: usize) -> Result<Json, JsonError> {
-        self.eat(b'{', "EXPECTED {")?;
-        let mut fields: Vec<(String, Json)> = Vec::new();
+    /// A comma-separated sequence from its opening bracket through
+    /// `close`; `item` parses one element.
+    fn seq(
+        &mut self,
+        close: u8,
+        what: &str,
+        mut item: impl FnMut(&mut Self) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
+        self.pos += 1;
         self.skip_ws();
-        if self.peek() == Some(b'}') {
+        if self.peek() == Some(close) {
             self.pos += 1;
-            return Ok(Json::Obj(fields));
+            return Ok(());
         }
         loop {
             self.skip_ws();
-            let key = self.string().map_err(|mut e| {
-                e.message = format!("OBJECT KEY: {}", e.message);
-                e
-            })?;
-            if fields.iter().any(|(k, _)| *k == key) {
-                return Err(self.err(&format!("DUPLICATE OBJECT KEY {key:?}")));
-            }
-            self.skip_ws();
-            self.eat(b':', "EXPECTED : AFTER OBJECT KEY")?;
-            self.skip_ws();
-            let value = self.value(depth + 1)?;
-            fields.push((key, value));
+            item(self)?;
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
-                Some(b'}') => {
+                Some(c) if c == close => {
                     self.pos += 1;
-                    return Ok(Json::Obj(fields));
+                    return Ok(());
                 }
-                _ => return Err(self.err("EXPECTED , OR } IN OBJECT")),
+                _ => return Err(self.err(what)),
             }
         }
     }
 
-    fn array(&mut self, depth: usize) -> Result<Json, JsonError> {
-        self.eat(b'[', "EXPECTED [")?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value(depth + 1)?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(self.err("EXPECTED , OR ] IN ARRAY")),
+    fn object(&mut self, depth: usize) -> Result<Json, JsonError> {
+        let mut fields: Vec<(String, Json)> = Vec::new();
+        self.seq(b'}', "EXPECTED , OR } IN OBJECT", |p| {
+            let key = p.string().map_err(|mut e| {
+                e.message = format!("OBJECT KEY: {}", e.message);
+                e
+            })?;
+            if fields.iter().any(|(k, _)| *k == key) {
+                return Err(p.err(&format!("DUPLICATE OBJECT KEY {key:?}")));
             }
-        }
+            p.skip_ws();
+            p.eat(b':', "EXPECTED : AFTER OBJECT KEY")?;
+            p.skip_ws();
+            fields.push((key, p.value(depth + 1)?));
+            Ok(())
+        })?;
+        Ok(Json::Obj(fields))
+    }
+
+    fn array(&mut self, depth: usize) -> Result<Json, JsonError> {
+        let mut items = Vec::new();
+        self.seq(b']', "EXPECTED , OR ] IN ARRAY", |p| {
+            items.push(p.value(depth + 1)?);
+            Ok(())
+        })?;
+        Ok(Json::Arr(items))
     }
 
     fn string(&mut self) -> Result<String, JsonError> {
         self.eat(b'"', "EXPECTED A STRING")?;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next quote, backslash or control
+            // byte whole: those bytes are ASCII, so the run ends on a
+            // char boundary.
+            let run = self.pos;
+            while matches!(self.peek(), Some(c) if c >= 0x20 && c != b'"' && c != b'\\') {
+                self.pos += 1;
+            }
+            out.push_str(&self.src[run..self.pos]);
             match self.peek() {
                 None => return Err(self.err("UNTERMINATED STRING")),
                 Some(b'"') => {
@@ -250,15 +388,15 @@ impl<'a> Parser<'a> {
                 }
                 Some(b'\\') => {
                     self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
+                    let ch = match self.peek() {
+                        Some(b'"') => '"',
+                        Some(b'\\') => '\\',
+                        Some(b'/') => '/',
+                        Some(b'n') => '\n',
+                        Some(b't') => '\t',
+                        Some(b'r') => '\r',
+                        Some(b'b') => '\u{8}',
+                        Some(b'f') => '\u{c}',
                         Some(b'u') => {
                             self.pos += 1;
                             let cp = self.hex4()?;
@@ -280,25 +418,14 @@ impl<'a> Parser<'a> {
                                 char::from_u32(cp).ok_or_else(|| self.err("LONE SURROGATE"))?
                             };
                             out.push(ch);
-                            // hex4 leaves pos past the 4 digits; the
-                            // shared advance below is for 1-byte
-                            // escapes, so compensate.
-                            self.pos -= 1;
+                            continue;
                         }
                         _ => return Err(self.err("BAD ESCAPE IN STRING")),
-                    }
+                    };
+                    out.push(ch);
                     self.pos += 1;
                 }
-                Some(c) if c < 0x20 => return Err(self.err("RAW CONTROL CHAR IN STRING")),
-                Some(_) => {
-                    // Multi-byte UTF-8 is already valid (input is &str);
-                    // copy the whole scalar.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).expect("input was a &str");
-                    let ch = s.chars().next().expect("peeked non-empty");
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
-                }
+                Some(_) => return Err(self.err("RAW CONTROL CHAR IN STRING")),
             }
         }
     }
@@ -314,25 +441,26 @@ impl<'a> Parser<'a> {
         Ok(cp)
     }
 
+    /// Skip a run of ASCII digits, returning its length.
+    fn digits(&mut self) -> usize {
+        let from = self.pos;
+        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
+            self.pos += 1;
+        }
+        self.pos - from
+    }
+
     fn number(&mut self) -> Result<Json, JsonError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        let digits_from = self.pos;
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-            self.pos += 1;
-        }
-        if self.pos == digits_from {
+        if self.digits() == 0 {
             return Err(self.err("EXPECTED DIGITS IN NUMBER"));
         }
         if self.peek() == Some(b'.') {
             self.pos += 1;
-            let frac_from = self.pos;
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
-            }
-            if self.pos == frac_from {
+            if self.digits() == 0 {
                 return Err(self.err("EXPECTED DIGITS AFTER ."));
             }
         }
@@ -341,24 +469,13 @@ impl<'a> Parser<'a> {
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
-            let exp_from = self.pos;
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
-            }
-            if self.pos == exp_from {
+            if self.digits() == 0 {
                 return Err(self.err("EXPECTED DIGITS IN EXPONENT"));
             }
         }
-        let raw = std::str::from_utf8(&self.bytes[start..self.pos])
-            .expect("number bytes are ASCII")
-            .to_string();
-        Ok(Json::Num(raw))
+        Ok(Json::Num(self.src[start..self.pos].to_string()))
     }
 }
-
-/// Escape `s` for a JSON string literal (the workspace's one escaper,
-/// from `lol-obs`).
-pub use lol_obs::json_escape as escape;
 
 #[cfg(test)]
 mod tests {
@@ -416,6 +533,28 @@ mod tests {
         assert!(parse("01").is_err() || parse("01").is_ok()); // lenient leading zero, but total
         assert!(parse("").is_err());
         assert!(parse("nul").is_err());
+    }
+
+    #[test]
+    fn renders_the_house_style() {
+        let v = Json::object()
+            .with("n", 7u64)
+            .with("f", Json::num(format_args!("{:.4}", 0.5)))
+            .with("s", "a\"b\\c\nd\u{1}")
+            .with("none", Json::Null)
+            .with("arr", Json::Arr(vec![Json::from(true), Json::Arr(vec![]), Json::object()]));
+        assert_eq!(
+            v.to_string(),
+            r#"{"n": 7, "f": 0.5000, "s": "a\"b\\c\nd\u0001", "none": null, "arr": [true, [], {}]}"#
+        );
+        assert_eq!(parse(&v.to_string()).unwrap(), v);
+    }
+
+    #[test]
+    fn escape_handles_specials() {
+        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        assert_eq!(escape("\u{1}"), "\\u0001");
+        assert_eq!(escape("plain ünïcode"), "plain ünïcode");
     }
 
     #[test]

@@ -9,6 +9,9 @@
 //! format (`GET /metrics` on `lold`), plus a structured JSONL
 //! [`EventLog`] writer for per-request access logs.
 //!
+//! It is also the workspace's one JSON home: [`json`], the strict
+//! parser and compact renderer every JSON surface goes through.
+//!
 //! Like every other crate in the workspace it is std-only and
 //! dependency-free, and the hot paths are lock-free: a counter bump is
 //! one relaxed atomic add, a histogram observation is two. The only
@@ -23,10 +26,11 @@
 #![forbid(unsafe_code)]
 
 mod hist;
+pub mod json;
 mod log;
 
 pub use hist::{Histogram, BUCKETS};
-pub use log::{json_escape, EventLog, Field};
+pub use log::EventLog;
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};

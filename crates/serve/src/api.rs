@@ -14,7 +14,7 @@ use lolcode::{
 };
 
 use crate::http::HttpError;
-use crate::json::{self, Json};
+use crate::json::Json;
 
 /// A structured service error: status + registry code + message.
 /// Renders as `{"ok": false, "code": "SRVxxxx", "error": "..."}`.
@@ -84,11 +84,11 @@ impl ApiError {
 
     /// The JSON error envelope.
     pub fn body(&self) -> String {
-        format!(
-            "{{\"ok\": false, \"code\": \"{}\", \"error\": \"{}\"}}",
-            self.code,
-            json::escape(&self.message)
-        )
+        Json::object()
+            .with("ok", false)
+            .with("code", self.code)
+            .with("error", self.message.as_str())
+            .to_string()
     }
 }
 
@@ -157,30 +157,16 @@ impl TraceFormat {
     }
 }
 
-fn want_str(key: &str, value: &Json) -> Result<String, ApiError> {
-    value
-        .as_str()
-        .map(str::to_string)
-        .ok_or_else(|| ApiError::bad_shape(format!("{key} WANTS A STRING")))
-}
-
-fn want_usize(key: &str, value: &Json) -> Result<usize, ApiError> {
-    value.as_usize().ok_or_else(|| ApiError::bad_shape(format!("{key} WANTS A NUMBR")))
-}
-
-fn want_u64(key: &str, value: &Json) -> Result<u64, ApiError> {
-    value.as_u64().ok_or_else(|| ApiError::bad_shape(format!("{key} WANTS A NUMBR")))
-}
-
-fn want_bool(key: &str, value: &Json) -> Result<bool, ApiError> {
-    value.as_bool().ok_or_else(|| ApiError::bad_shape(format!("{key} WANTS TROOF (true/false)")))
+/// `got`, or the shape error saying what `key` wants.
+fn want<T>(key: &str, got: Option<T>, what: &str) -> Result<T, ApiError> {
+    got.ok_or_else(|| ApiError::bad_shape(format!("{key} WANTS {what}")))
 }
 
 fn want_parsed<T: std::str::FromStr>(key: &str, value: &Json) -> Result<T, ApiError>
 where
     T::Err: std::fmt::Display,
 {
-    let raw = want_str(key, value)?;
+    let raw = want(key, value.as_str(), "A STRING")?;
     raw.parse::<T>().map_err(|e| ApiError::bad_shape(format!("{key}: {e}")))
 }
 
@@ -189,38 +175,31 @@ where
 /// caller with extra fields, like `/sweep`, can try its own).
 fn apply_run_field(req: &mut RunRequest, key: &str, value: &Json) -> Result<bool, ApiError> {
     match key {
-        "source" => req.source = want_str(key, value)?,
-        "dialect" => req.dialect = want_str(key, value)?,
+        "source" => req.source = want(key, value.as_str(), "A STRING")?.to_string(),
+        "dialect" => req.dialect = want(key, value.as_str(), "A STRING")?.to_string(),
         "backend" => req.cfg.backend = want_parsed::<Backend>(key, value)?,
-        "pes" => req.cfg.n_pes = want_usize(key, value)?,
-        "seed" => req.cfg.seed = want_u64(key, value)?,
+        "pes" => req.cfg.n_pes = want(key, value.as_usize(), "A NUMBR")?,
+        "seed" => req.cfg.seed = want(key, value.as_u64(), "A NUMBR")?,
         "latency" => req.cfg.latency = want_parsed::<LatencyModel>(key, value)?,
         "barrier" => req.cfg.barrier = want_parsed::<BarrierKind>(key, value)?,
         "lock" => req.cfg.lock = want_parsed::<LockKind>(key, value)?,
         "clock" => req.cfg.clock = want_parsed::<ClockMode>(key, value)?,
-        "heap_words" => req.cfg.heap_words = want_usize(key, value)?,
-        "sim_jobs" => req.cfg.sim_jobs = want_usize(key, value)?,
-        "timeout_ms" => req.cfg.timeout = Duration::from_millis(want_u64(key, value)?),
-        "timing" => req.timing = want_bool(key, value)?,
-        "trace" => {
-            let on = want_bool(key, value)?;
-            req.cfg.trace = on;
+        "heap_words" => req.cfg.heap_words = want(key, value.as_usize(), "A NUMBR")?,
+        "sim_jobs" => req.cfg.sim_jobs = want(key, value.as_usize(), "A NUMBR")?,
+        "timeout_ms" => {
+            req.cfg.timeout = Duration::from_millis(want(key, value.as_u64(), "A NUMBR")?)
         }
+        "timing" => req.timing = want(key, value.as_bool(), "TROOF (true/false)")?,
+        "trace" => req.cfg.trace = want(key, value.as_bool(), "TROOF (true/false)")?,
         "trace_spec" => {
             let spec = want_parsed::<TraceSpec>(key, value)?;
             req.cfg = req.cfg.clone().trace_spec(spec);
         }
         "input" => {
-            let items = value
-                .as_arr()
-                .ok_or_else(|| ApiError::bad_shape("input WANTS AN ARRAY OF STRINGS"))?;
+            let items = want(key, value.as_arr(), "AN ARRAY OF STRINGS")?;
             req.cfg.input = items
                 .iter()
-                .map(|v| {
-                    v.as_str()
-                        .map(str::to_string)
-                        .ok_or_else(|| ApiError::bad_shape("input WANTS AN ARRAY OF STRINGS"))
-                })
+                .map(|v| want(key, v.as_str(), "AN ARRAY OF STRINGS").map(str::to_string))
                 .collect::<Result<_, _>>()?;
         }
         _ => return Ok(false),
@@ -266,7 +245,7 @@ pub fn parse_sweep(body: &Json) -> Result<SweepRequest, ApiError> {
             continue;
         }
         match key.as_str() {
-            "spec" => spec = Some(want_str(key, value)?),
+            "spec" => spec = Some(want(key, value.as_str(), "A STRING")?.to_string()),
             _ => return Err(ApiError::bad_shape(format!("I DUNNO DIS FIELD: {key}"))),
         }
     }
@@ -286,21 +265,16 @@ pub fn parse_trace(body: &Json) -> Result<TraceRequest, ApiError> {
         }
         match key.as_str() {
             "format" => {
-                let raw = want_str(key, value)?;
-                format = match raw.as_str() {
-                    "gantt" => TraceFormat::Gantt,
-                    "events" => TraceFormat::Events,
-                    "matrix" => TraceFormat::Matrix,
-                    "svg" => TraceFormat::Svg,
-                    "perfetto" => TraceFormat::Perfetto,
-                    other => {
-                        return Err(ApiError::bad_shape(format!(
-                            "format IZ gantt, events, matrix, svg OR perfetto, NOT {other}"
-                        )))
-                    }
-                };
+                use TraceFormat::*;
+                let raw = want(key, value.as_str(), "A STRING")?;
+                let known =
+                    [Gantt, Events, Matrix, Svg, Perfetto].into_iter().find(|f| f.name() == raw);
+                format = known.ok_or_else(|| {
+                    let names = "gantt, events, matrix, svg OR perfetto";
+                    ApiError::bad_shape(format!("format IZ {names}, NOT {raw}"))
+                })?;
             }
-            "width" => width = want_usize(key, value)?.clamp(20, 1000),
+            "width" => width = want(key, value.as_usize(), "A NUMBR")?.clamp(20, 1000),
             _ => return Err(ApiError::bad_shape(format!("I DUNNO DIS FIELD: {key}"))),
         }
     }
@@ -375,7 +349,8 @@ mod tests {
     fn error_envelope_is_json() {
         let e = ApiError::bad_shape("quote \" and newline \n");
         let body = e.body();
-        assert!(crate::json::parse(&body).is_ok(), "envelope must be valid JSON: {body}");
-        assert!(body.contains("\"SRV0111\""));
+        assert_eq!(body, r#"{"ok": false, "code": "SRV0111", "error": "quote \" and newline \n"}"#);
+        let parsed = crate::json::parse(&body).expect("envelope must be strict JSON");
+        assert_eq!(parsed.get("error").and_then(Json::as_str), Some("quote \" and newline \n"));
     }
 }

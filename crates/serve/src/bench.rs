@@ -14,6 +14,7 @@
 
 use std::time::Instant;
 
+use lol_obs::json::Json;
 use lol_obs::{parse_exposition, sample_value, Sample};
 
 /// What to throw at the server.
@@ -107,24 +108,6 @@ impl ServeDeltas {
             server_errors: delta(before, after, "lold_errors_total", &[]),
         }
     }
-
-    /// The `"serve"` object embedded in [`BenchReport::to_json`].
-    pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"requests_run\": {}, \"cache_hits\": {}, \"cache_misses\": {}, ",
-                "\"cache_evictions\": {}, \"rejected_429\": {}, \"rejected_503\": {}, ",
-                "\"server_errors\": {}}}"
-            ),
-            self.requests_run,
-            self.cache_hits,
-            self.cache_misses,
-            self.cache_evictions,
-            self.rejected_429,
-            self.rejected_503,
-            self.server_errors,
-        )
-    }
 }
 
 fn percentile(sorted: &[u64], num: usize, den: usize) -> u64 {
@@ -139,28 +122,29 @@ impl BenchReport {
     /// The JSON document `serve-bench.json` holds; keys are consumed
     /// by `scripts/check_perf_regression.py --serve`.
     pub fn to_json(&self) -> String {
-        let serve = match &self.serve {
-            Some(s) => format!(", \"serve\": {}", s.to_json()),
-            None => String::new(),
-        };
-        format!(
-            concat!(
-                "{{\"clients\": {}, \"total\": {}, \"ok\": {}, \"errors\": {}, ",
-                "\"wall_ns\": {}, \"rps\": {:.2}, ",
-                "\"p50_ns\": {}, \"p90_ns\": {}, \"p99_ns\": {}, \"max_ns\": {}{}}}"
-            ),
-            self.clients,
-            self.total,
-            self.ok,
-            self.errors,
-            self.wall_ns,
-            self.rps,
-            self.p50_ns,
-            self.p90_ns,
-            self.p99_ns,
-            self.max_ns,
-            serve,
-        )
+        let mut report = Json::object()
+            .with("clients", self.clients)
+            .with("total", self.total)
+            .with("ok", self.ok)
+            .with("errors", self.errors)
+            .with("wall_ns", self.wall_ns)
+            .with("rps", Json::num(format_args!("{:.2}", self.rps)))
+            .with("p50_ns", self.p50_ns)
+            .with("p90_ns", self.p90_ns)
+            .with("p99_ns", self.p99_ns)
+            .with("max_ns", self.max_ns);
+        if let Some(s) = &self.serve {
+            let serve = Json::object()
+                .with("requests_run", s.requests_run)
+                .with("cache_hits", s.cache_hits)
+                .with("cache_misses", s.cache_misses)
+                .with("cache_evictions", s.cache_evictions)
+                .with("rejected_429", s.rejected_429)
+                .with("rejected_503", s.rejected_503)
+                .with("server_errors", s.server_errors);
+            report.push("serve", serve);
+        }
+        report.to_string()
     }
 
     /// One human line for terminals and CI logs.
@@ -288,6 +272,7 @@ mod tests {
             max_ns: 40,
             serve: None,
         };
+        assert!(r.to_json().contains("\"rps\": 9000.00, "), "{}", r.to_json());
         let json = crate::json::parse(&r.to_json()).unwrap();
         assert_eq!(json.get("ok").unwrap().as_u64(), Some(9));
         assert_eq!(json.get("p99_ns").unwrap().as_u64(), Some(30));

@@ -23,8 +23,10 @@
 //!
 //! Design points:
 //!
-//! * **std only.** The HTTP server is [`http`], the JSON parser is
-//!   [`json`] — both bounded, total, and fuzzed in `tests/fuzz.rs`.
+//! * **std only.** The HTTP server is [`http`], bounded, total, and
+//!   fuzzed in `tests/fuzz.rs`; request bodies are parsed and replies
+//!   rendered by [`json`], the workspace's one JSON layer
+//!   (`lol_obs::json`, fuzzed in `crates/obs/tests/fuzz.rs`).
 //! * **Bounded worker pool.** A fixed set of worker threads serves
 //!   connections from a capped queue ([`ServeConfig::queue_cap`]);
 //!   when the queue is full the accept loop answers `429` with
@@ -66,8 +68,10 @@ pub mod bench;
 pub mod cache;
 pub mod client;
 pub mod http;
-pub mod json;
 pub mod metrics;
+
+/// The workspace's JSON layer (`lol_obs::json`), for the service's clients.
+pub use lol_obs::json;
 
 use std::collections::VecDeque;
 use std::io::BufReader;
@@ -76,13 +80,14 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use lol_obs::{EventLog, Field};
+use lol_obs::EventLog;
 use lolcode::service::{run_report_json, Quotas};
 use lolcode::{config_weight, engine_for, SweepSpec};
 
 use api::{ApiError, RunRequest, TraceFormat};
 use cache::ArtifactCache;
 use http::{read_request, write_response, HttpError, Request};
+use json::Json;
 use metrics::{Metrics, Route};
 
 /// One socket-read slice: how often a pinned worker re-checks the
@@ -399,12 +404,12 @@ fn serve_connection(shared: &Shared, stream: TcpStream) {
             shared.metrics.errors.inc();
         }
         if let Some(log) = &shared.access {
-            let _ = log.log(&[
-                ("method", Field::Str(&request.method)),
-                ("path", Field::Str(&request.path)),
-                ("status", Field::U64(reply.status as u64)),
-                ("dur_us", Field::U64(dur.as_micros() as u64)),
-                ("body_bytes", Field::U64(reply.body.len() as u64)),
+            let _ = log.log([
+                ("method", Json::from(request.method.as_str())),
+                ("path", Json::from(request.path.as_str())),
+                ("status", Json::from(reply.status as u64)),
+                ("dur_us", Json::from(dur.as_micros() as u64)),
+                ("body_bytes", Json::from(reply.body.len())),
             ]);
         }
         let draining = shared.shutdown.load(Ordering::SeqCst);
@@ -483,7 +488,7 @@ fn handle(shared: &Shared, req: &Request) -> Reply {
         ("POST", "/trace") => timed(Route::Trace, &|| handle_trace(shared, &req.body)),
         ("POST", "/shutdown") => {
             trigger_shutdown(shared);
-            Reply::json(200, "{\"ok\": true, \"draining\": true}".to_string())
+            Reply::json(200, Json::object().with("ok", true).with("draining", true).to_string())
         }
         (_, "/healthz" | "/metrics" | "/run" | "/sweep" | "/trace" | "/shutdown") => {
             let e = ApiError::method_not_allowed(&req.method, &req.path);
@@ -571,44 +576,41 @@ fn handle_trace(shared: &Shared, body: &[u8]) -> Result<String, ApiError> {
         TraceFormat::Svg => trace.to_svg(),
         TraceFormat::Perfetto => trace.to_perfetto(),
     };
-    Ok(format!(
-        "{{\"ok\": true, \"format\": \"{}\", \"pes\": {}, \"render\": \"{}\"}}",
-        req.format.name(),
-        report.n_pes(),
-        json::escape(&rendered)
-    ))
+    Ok(Json::object()
+        .with("ok", true)
+        .with("format", req.format.name())
+        .with("pes", report.n_pes())
+        .with("render", rendered)
+        .to_string())
 }
 
 fn healthz_body(shared: &Shared) -> String {
     let m = &shared.metrics;
     let cache = shared.cache.stats();
     let queue_depth = shared.queue.lock().unwrap().len();
-    format!(
-        concat!(
-            "{{\"ok\": true, \"workers\": {}, \"queue_cap\": {}, \"queue_depth\": {}, ",
-            "\"thread_budget\": {}, ",
-            "\"requests\": {{\"run\": {}, \"sweep\": {}, \"trace\": {}, \"healthz\": {}, ",
-            "\"rejected_429\": {}, \"rejected_503\": {}, \"errors\": {}}}, ",
-            "\"cache\": {{\"capacity\": {}, \"len\": {}, \"hits\": {}, \"misses\": {}, ",
-            "\"evictions\": {}}}}}"
-        ),
-        shared.config.workers,
-        shared.config.queue_cap,
-        queue_depth,
-        shared.budget,
-        m.requests(Route::Run).get(),
-        m.requests(Route::Sweep).get(),
-        m.requests(Route::Trace).get(),
-        m.requests(Route::Healthz).get(),
-        m.rejected_429.get(),
-        m.rejected_503.get(),
-        m.errors.get(),
-        cache.capacity,
-        cache.len,
-        cache.hits,
-        cache.misses,
-        cache.evictions,
-    )
+    let requests = Json::object()
+        .with("run", m.requests(Route::Run).get())
+        .with("sweep", m.requests(Route::Sweep).get())
+        .with("trace", m.requests(Route::Trace).get())
+        .with("healthz", m.requests(Route::Healthz).get())
+        .with("rejected_429", m.rejected_429.get())
+        .with("rejected_503", m.rejected_503.get())
+        .with("errors", m.errors.get());
+    let cache = Json::object()
+        .with("capacity", cache.capacity)
+        .with("len", cache.len)
+        .with("hits", cache.hits)
+        .with("misses", cache.misses)
+        .with("evictions", cache.evictions);
+    Json::object()
+        .with("ok", true)
+        .with("workers", shared.config.workers)
+        .with("queue_cap", shared.config.queue_cap)
+        .with("queue_depth", queue_depth)
+        .with("thread_budget", shared.budget)
+        .with("requests", requests)
+        .with("cache", cache)
+        .to_string()
 }
 
 /// The Prometheus exposition behind `GET /metrics`: mirror the

@@ -1,16 +1,16 @@
-//! Property/fuzz battery for the hand-rolled HTTP and JSON parsers.
+//! Property/fuzz battery for the hand-rolled HTTP parser.
 //!
-//! Both parsers sit on the service's hostile edge: anything a socket
+//! The parser sits on the service's hostile edge: anything a socket
 //! can deliver must come back as a structured error — never a panic,
 //! never an unbounded loop, never an over-allocation. The generators
 //! mix pure byte soup, *almost*-valid requests (valid prefixes +
 //! mutations), and pathological-by-construction shapes (huge
-//! Content-Length claims, deep JSON nesting, duplicate keys).
+//! Content-Length claims). The JSON parser's battery lives with the
+//! parser, in `crates/obs/tests/fuzz.rs`.
 
 use std::io::BufReader;
 
 use lol_serve::http::{read_request, HttpError};
-use lol_serve::json::{self, Json};
 use proptest::prelude::*;
 
 fn parse_http(
@@ -61,36 +61,6 @@ proptest! {
             Err(e) => prop_assert!(false, "unexpected verdict: {:?}", e),
         }
     }
-
-    /// JSON text soup (printable + multi-byte chars): parse returns a
-    /// verdict on anything.
-    #[test]
-    fn json_never_panics_on_soup(s in ".{0,200}") {
-        let _ = json::parse(&s);
-    }
-
-    /// Escaping is total and always reparses to the same string —
-    /// including control characters, quotes, and astral-plane chars.
-    #[test]
-    fn json_escape_round_trips(chars in proptest::collection::vec(any::<char>(), 0..64)) {
-        let s: String = chars.into_iter().collect();
-        let quoted = format!("\"{}\"", json::escape(&s));
-        let parsed = json::parse(&quoted).unwrap();
-        prop_assert_eq!(parsed.as_str(), Some(s.as_str()));
-    }
-
-    /// Arbitrarily deep nesting is rejected at the depth bound — by
-    /// error, not by stack overflow.
-    #[test]
-    fn json_depth_is_bounded(depth in 1usize..600) {
-        let doc = format!("{}1{}", "[".repeat(depth), "]".repeat(depth));
-        let result = json::parse(&doc);
-        if depth <= 60 {
-            prop_assert!(result.is_ok(), "depth {} should parse", depth);
-        } else if depth > 64 {
-            prop_assert!(result.is_err(), "depth {} must hit the bound", depth);
-        }
-    }
 }
 
 /// The malformed-request corpus: every case is one handcrafted wire
@@ -129,27 +99,4 @@ fn malformed_request_corpus() {
             }
         }
     }
-}
-
-/// Duplicate keys are a parse error at every depth, not a
-/// last-writer-wins footgun.
-#[test]
-fn json_duplicate_keys_rejected_everywhere() {
-    for doc in
-        [r#"{"a": 1, "a": 2}"#, r#"{"outer": {"a": 1, "a": 2}}"#, r#"[{"x": true, "x": false}]"#]
-    {
-        assert!(json::parse(doc).is_err(), "{doc}");
-    }
-}
-
-/// The JSON subset the service needs, positively: request-shaped
-/// documents parse into the expected tree.
-#[test]
-fn json_request_shapes_parse() {
-    let doc = r#"{"source": "HAI\n", "pes": 8, "timing": false,
-                  "input": ["a", "b"], "nested": {"k": [1, 2.5, -3e2, null]}}"#;
-    let v = json::parse(doc).unwrap();
-    assert_eq!(v.get("pes").and_then(Json::as_u64), Some(8));
-    assert_eq!(v.get("timing").and_then(Json::as_bool), Some(false));
-    assert_eq!(v.get("input").and_then(Json::as_arr).map(<[Json]>::len), Some(2));
 }

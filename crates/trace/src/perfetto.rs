@@ -23,10 +23,11 @@
 //! [`ClockMode::Virtual`]: crate::ClockMode::Virtual
 
 use crate::{EventKind, Trace};
+use lol_obs::json::Json;
 
 /// Nanoseconds → fractional microseconds, exactly (no float rounding).
-fn us(ns: u64) -> String {
-    format!("{}.{:03}", ns / 1000, ns % 1000)
+fn us(ns: u64) -> Json {
+    Json::num(format_args!("{}.{:03}", ns / 1000, ns % 1000))
 }
 
 fn slice_name(kind: EventKind) -> &'static str {
@@ -60,59 +61,62 @@ impl Trace {
     pub fn to_perfetto(&self) -> String {
         let mut events: Vec<String> = Vec::with_capacity(self.total_events() + self.n_pes());
         for (pe, p) in self.pes.iter().enumerate() {
-            events.push(format!(
-                "{{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 0, \"tid\": {pe}, \
-                 \"args\": {{\"name\": \"PE {pe}\"}}}}"
-            ));
+            let slice = |name: &str, cat: &str, ts: u64, dur: Json, args: Json| {
+                Json::object()
+                    .with("name", name)
+                    .with("cat", cat)
+                    .with("ph", "X")
+                    .with("ts", us(ts))
+                    .with("dur", dur)
+                    .with("pid", 0u32)
+                    .with("tid", pe)
+                    .with("args", args)
+                    .to_string()
+            };
+            let thread = Json::object().with("name", format!("PE {pe}"));
+            events.push(
+                Json::object()
+                    .with("name", "thread_name")
+                    .with("ph", "M")
+                    .with("pid", 0u32)
+                    .with("tid", pe)
+                    .with("args", thread)
+                    .to_string(),
+            );
             let mut enter: Option<u64> = None;
             for e in &p.events {
                 match e.kind {
                     EventKind::BarrierEnter => enter = Some(e.t_ns),
                     EventKind::BarrierExit => {
                         let from = enter.take().unwrap_or(e.t_ns);
-                        events.push(format!(
-                            "{{\"name\": \"barrier\", \"cat\": \"sync\", \"ph\": \"X\", \
-                             \"ts\": {}, \"dur\": {}, \"pid\": 0, \"tid\": {pe}, \
-                             \"args\": {{\"seq\": {}, \"wait_ns\": {}}}}}",
-                            us(from),
-                            us(e.t_ns.saturating_sub(from)),
-                            e.seq,
-                            e.t_ns.saturating_sub(from)
-                        ));
+                        let wait = e.t_ns.saturating_sub(from);
+                        let args = Json::object().with("seq", e.seq).with("wait_ns", wait);
+                        events.push(slice("barrier", "sync", from, us(wait), args));
                     }
                     kind => {
-                        events.push(format!(
-                            "{{\"name\": \"{}\", \"cat\": \"{}\", \"ph\": \"X\", \
-                             \"ts\": {}, \"dur\": 0, \"pid\": 0, \"tid\": {pe}, \
-                             \"args\": {{\"peer\": {}, \"addr\": {}, \"bytes\": {}, \"seq\": {}}}}}",
-                            slice_name(kind),
-                            category(kind),
-                            us(e.t_ns),
-                            e.peer,
-                            e.addr,
-                            e.bytes,
-                            e.seq
-                        ));
+                        let args = Json::object()
+                            .with("peer", e.peer)
+                            .with("addr", e.addr)
+                            .with("bytes", e.bytes)
+                            .with("seq", e.seq);
+                        let (name, cat) = (slice_name(kind), category(kind));
+                        events.push(slice(name, cat, e.t_ns, Json::from(0u32), args));
                     }
                 }
             }
             // An enter with no exit (stream truncated by the buffer
             // bound): keep the op visible as a zero-duration slice.
             if let Some(from) = enter {
-                events.push(format!(
-                    "{{\"name\": \"barrier\", \"cat\": \"sync\", \"ph\": \"X\", \
-                     \"ts\": {}, \"dur\": 0, \"pid\": 0, \"tid\": {pe}, \
-                     \"args\": {{\"truncated\": true}}}}",
-                    us(from)
-                ));
+                let args = Json::object().with("truncated", true);
+                events.push(slice("barrier", "sync", from, Json::from(0u32), args));
             }
         }
+        let other = Json::object()
+            .with("clock", self.clock.to_string())
+            .with("pes", self.n_pes())
+            .with("dropped_events", self.total_dropped());
         format!(
-            "{{\"displayTimeUnit\": \"ns\", \"otherData\": {{\"clock\": \"{}\", \"pes\": {}, \
-             \"dropped_events\": {}}}, \"traceEvents\": [\n{}\n]}}",
-            self.clock,
-            self.n_pes(),
-            self.total_dropped(),
+            "{{\"displayTimeUnit\": \"ns\", \"otherData\": {other}, \"traceEvents\": [\n{}\n]}}",
             events.join(",\n")
         )
     }

@@ -257,6 +257,31 @@ not json at all"#;
     assert!(done.contains("c|mesh:4:50:11|dissem|ticket|wall|9|4"));
 }
 
+/// A sweep killed mid-write leaves a truncated last record such as
+/// `{…, "clock": "wall", "ok": true, "wall_`. It must not count as
+/// done, so `--resume` runs that config again.
+#[test]
+fn jsonl_done_parser_ignores_a_truncated_record() {
+    let artifact = compile(RANDOM_DURATION).unwrap();
+    let spec = || SweepSpec::over(RunConfig::new(1).timeout(Duration::from_secs(60))).pes([1, 2]);
+    let first = spec().jobs(1).run(&artifact);
+    let records: Vec<String> = first
+        .entries
+        .iter()
+        .enumerate()
+        .map(|(i, e)| lolcode::jsonl_record(i, &e.config, &e.result))
+        .collect();
+    let cut = records[1].find("\"wall_").expect("an ok record carries wall_ns") + "\"wall_".len();
+    let killed = format!("{}\n{}", records[0], &records[1][..cut]);
+    assert!(killed.ends_with("\"ok\": true, \"wall_"), "{killed}");
+    let done = parse_jsonl_done(&killed);
+    assert_eq!(done.len(), 1, "{done:?}");
+    assert!(done.contains(&lolcode::config_key(&first.entries[0].config)));
+    let resumed = spec().run_resumable(&artifact, &done, |_, _, _| {});
+    assert_eq!(resumed.skipped_count(), 1);
+    assert!(resumed.entries[1].result.is_ok(), "the truncated config runs again");
+}
+
 /// The thread budget keeps `jobs × PEs` inside the core count without
 /// changing a single byte of the results.
 #[test]
