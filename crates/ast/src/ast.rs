@@ -80,7 +80,8 @@ impl Ident {
 /// under `TXT MAH BFF` predication (Table II).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Locality {
-    /// No qualifier: the local instance (see DESIGN.md §3.1).
+    /// No qualifier: the local instance, like `MAH x` (see
+    /// docs/LANGUAGE.md, "Readings of the paper").
     #[default]
     Unqualified,
     /// `MAH x` — explicitly the local instance.
@@ -193,30 +194,6 @@ impl BinOp {
             BinOp::EitherOf => "EITHER OF",
             BinOp::WonOf => "WON OF",
         }
-    }
-
-    /// Is this an arithmetic operator (operands coerced to numbers)?
-    pub fn is_arith(self) -> bool {
-        matches!(
-            self,
-            BinOp::Sum
-                | BinOp::Diff
-                | BinOp::Produkt
-                | BinOp::Quoshunt
-                | BinOp::Mod
-                | BinOp::BiggrOf
-                | BinOp::SmallrOf
-        )
-    }
-
-    /// Is this a comparison (result TROOF)?
-    pub fn is_comparison(self) -> bool {
-        matches!(self, BinOp::BothSaem | BinOp::Diffrint | BinOp::Bigger | BinOp::Smallr)
-    }
-
-    /// Is this a boolean connective (operands coerced to TROOF)?
-    pub fn is_boolean(self) -> bool {
-        matches!(self, BinOp::BothOf | BinOp::EitherOf | BinOp::WonOf)
     }
 }
 
@@ -520,31 +497,6 @@ mod tests {
         };
         assert_eq!(prog.body.len(), 1);
         assert!(prog.eq_modulo_spans(&prog.clone()));
-    }
-
-    #[test]
-    fn binop_classification_is_partitioned() {
-        let all = [
-            BinOp::Sum,
-            BinOp::Diff,
-            BinOp::Produkt,
-            BinOp::Quoshunt,
-            BinOp::Mod,
-            BinOp::BiggrOf,
-            BinOp::SmallrOf,
-            BinOp::BothSaem,
-            BinOp::Diffrint,
-            BinOp::Bigger,
-            BinOp::Smallr,
-            BinOp::BothOf,
-            BinOp::EitherOf,
-            BinOp::WonOf,
-        ];
-        for op in all {
-            let classes =
-                [op.is_arith(), op.is_comparison(), op.is_boolean()].iter().filter(|&&b| b).count();
-            assert_eq!(classes, 1, "{op:?} must belong to exactly one class");
-        }
     }
 
     #[test]

@@ -88,12 +88,6 @@ impl SourceMap {
         &self.src
     }
 
-    /// Number of lines in the file (a trailing newline does not start a
-    /// new countable line unless followed by text; we count raw starts).
-    pub fn line_count(&self) -> usize {
-        self.line_starts.len()
-    }
-
     /// Convert a byte offset into a 1-based line/column pair.
     pub fn lookup(&self, offset: u32) -> LineCol {
         let offset = offset.min(self.src.len() as u32);
@@ -110,13 +104,6 @@ impl SourceMap {
         let start = *self.line_starts.get(idx).unwrap_or(&0) as usize;
         let end = self.line_starts.get(idx + 1).map(|&s| s as usize).unwrap_or(self.src.len());
         self.src[start..end].trim_end_matches(['\n', '\r'])
-    }
-
-    /// Excerpt the source covered by `span` (clamped to the buffer).
-    pub fn snippet(&self, span: Span) -> &str {
-        let lo = (span.lo as usize).min(self.src.len());
-        let hi = (span.hi as usize).min(self.src.len());
-        &self.src[lo..hi]
     }
 }
 
@@ -164,16 +151,9 @@ mod tests {
     }
 
     #[test]
-    fn snippet_matches_span() {
-        let sm = SourceMap::new("VISIBLE \"KITTEH\"");
-        assert_eq!(sm.snippet(Span::new(0, 7)), "VISIBLE");
-    }
-
-    #[test]
     fn empty_source() {
         let sm = SourceMap::new("");
         assert_eq!(sm.lookup(0), LineCol { line: 1, col: 1 });
         assert_eq!(sm.line_text(1), "");
-        assert_eq!(sm.line_count(), 1);
     }
 }

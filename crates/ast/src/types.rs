@@ -79,19 +79,6 @@ impl LolType {
     pub fn is_word_sized(self) -> bool {
         matches!(self, LolType::Troof | LolType::Numbr | LolType::Numbar)
     }
-
-    /// Result type of arithmetic between two operand types, following
-    /// LOLCODE 1.2: NUMBR op NUMBR = NUMBR (integer division!), anything
-    /// involving a NUMBAR promotes to NUMBAR. YARNs are first coerced to
-    /// a numeric type at runtime; statically we treat them as NUMBAR.
-    pub fn arith_join(self, other: LolType) -> LolType {
-        use LolType::*;
-        match (self, other) {
-            (Numbr, Numbr) => Numbr,
-            (Troof, Numbr) | (Numbr, Troof) | (Troof, Troof) => Numbr,
-            _ => Numbar,
-        }
-    }
 }
 
 impl fmt::Display for LolType {
@@ -125,16 +112,5 @@ mod tests {
         assert!(LolType::Troof.is_word_sized());
         assert!(!LolType::Yarn.is_word_sized());
         assert!(!LolType::Noob.is_word_sized());
-    }
-
-    #[test]
-    fn arithmetic_promotion() {
-        use LolType::*;
-        assert_eq!(Numbr.arith_join(Numbr), Numbr);
-        assert_eq!(Numbr.arith_join(Numbar), Numbar);
-        assert_eq!(Numbar.arith_join(Numbr), Numbar);
-        assert_eq!(Numbar.arith_join(Numbar), Numbar);
-        assert_eq!(Troof.arith_join(Numbr), Numbr);
-        assert_eq!(Yarn.arith_join(Numbr), Numbar);
     }
 }

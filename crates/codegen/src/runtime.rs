@@ -395,8 +395,9 @@ static double lol_whatevar(void) { return (double)LOL_RAND() / ((double)RAND_MAX
 /// and *run* the generated C with any C99 compiler when no real
 /// OpenSHMEM library is installed (`lcc --stub`; also the substrate the
 /// [`driver`][crate::driver] uses to run the C backend as an engine).
-/// This is the "simulate what you don't have" substitution from
-/// DESIGN.md §2, upgraded from the original single-PE stub:
+/// It is the same "simulate what you don't have" substitution as the threaded
+/// substrate (docs/ARCHITECTURE.md, "The substrate"), upgraded from the
+/// original single-PE stub:
 ///
 /// * every `WE HAS A` object is thread-local (`LOL_SYMMETRIC`), so each
 ///   PE thread owns its copy of the symmetric segment;

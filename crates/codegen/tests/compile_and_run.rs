@@ -6,7 +6,8 @@
 //!
 //! This is the `lcc code.lol -o executable.x && coprsh -np N ...`
 //! pipeline of Section VI.E, minus the real OpenSHMEM library
-//! (substituted per DESIGN.md §2).
+//! (substituted by the pthread stub; see docs/ARCHITECTURE.md, "The
+//! substrate").
 
 use lol_c_codegen::driver::{self, RunRequest};
 use lol_c_codegen::emit_c;

@@ -2,7 +2,8 @@
 //!
 //! Sources are transcribed from the paper (Sections V and VI) with the
 //! `...` continuations resolved; where the paper's prose and listings
-//! disagree, DESIGN.md §3 records which reading is encoded here.
+//! disagree, docs/LANGUAGE.md ("Readings of the paper") records which
+//! reading is encoded here.
 
 /// A minimal parallel hello world (not in the paper, but the obvious
 /// first program: Section VI.D opens with exactly this `VISIBLE`).
@@ -34,8 +35,9 @@ VISIBLE \"PE \" pe \" GOT \" mine'Z 0 \" .. \" mine'Z 31
 KTHXBYE
 ";
 
-/// Section VI.B — locks on shared data (the faithful remote-increment
-/// reading; see DESIGN.md §3.1).
+/// Section VI.B — locks on shared data (the remote-increment reading:
+/// every PE increments PE 0's `x` under PE 0's lock; see
+/// docs/LANGUAGE.md, "Readings of the paper").
 pub const LOCKS_EXAMPLE: &str = "\
 HAI 1.2
 BTW Section VI.B: protect shared data wif da implicit lock
@@ -70,7 +72,8 @@ KTHXBYE
 ";
 
 /// Section V — the trylock-then-lock pattern (with the Table II
-/// reading of SRSLY vs non-SRSLY; DESIGN.md §3).
+/// reading of SRSLY vs non-SRSLY: `IM SRSLY MESIN WIF` blocks,
+/// `IM MESIN WIF` tries once; see docs/LANGUAGE.md).
 pub const TRYLOCK_EXAMPLE: &str = "\
 HAI 1.2
 WE HAS A x ITZ A NUMBR AN IM SHARIN IT
@@ -139,7 +142,7 @@ IM IN YR loop UPPIN YR i TIL BOTH SAEM i AN {n}
     AN WHATEVAR AN 1000
 IM OUTTA YR loop
 
-BTW DEVIATION FROM DA PAPER (DESIGN.md section 3): da original listing
+BTW DEVIATION FROM DA PAPER (docs/LANGUAGE.md, READINGS): da original listing
 BTW has no barrier here, so a fast PE can read a slow PE's pos_x/pos_y
 BTW before dey iz initialized — a real data race in da published code.
 HUGZ

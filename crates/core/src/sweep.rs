@@ -208,11 +208,6 @@ impl SweepSpec {
         self
     }
 
-    /// The worker cap (`0` = auto).
-    pub fn jobs_requested(&self) -> usize {
-        self.jobs
-    }
-
     /// The thread budget (`0` = auto: available cores).
     pub fn threads_requested(&self) -> usize {
         self.threads
@@ -1358,7 +1353,6 @@ mod tests {
         // Explicit seed lists and ranges still work.
         let spec = SweepSpec::parse("seeds=7,9;jobs=2", base()).unwrap();
         assert_eq!(spec.configs().iter().map(|c| c.seed).collect::<Vec<_>>(), vec![7, 9]);
-        assert_eq!(spec.jobs_requested(), 2);
     }
 
     #[test]

@@ -123,7 +123,8 @@ fn row14_is_now_a_casts_variable() {
 
 #[test]
 fn row15_srs_interprets_string_as_identifier() {
-    // Interpreter-only by design (DESIGN.md §3.11).
+    // Interpreter-only by design: the compiled paths reject `SRS` with
+    // VMC0001 / CGC0001 (docs/LANGUAGE.md).
     let outs = run_source(
         "HAI 1.2\nI HAS A cat ITZ 9\nI HAS A name ITZ \"cat\"\nVISIBLE SRS name\nKTHXBYE",
         cfg(),
@@ -184,7 +185,7 @@ fn bonus_functions_how_iz_i() {
 #[test]
 fn conformance_matrix_summary() {
     // The rows above cover all 20 Table I entries; this test is the
-    // machine-checkable tally the harness prints for EXPERIMENTS.md.
+    // machine-checkable tally of that coverage.
     const ROWS: usize = 20;
     println!("T1 conformance: {ROWS}/20 rows of Table I exercised");
     assert_eq!(ROWS, 20);

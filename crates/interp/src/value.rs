@@ -71,17 +71,6 @@ impl Value {
         Value::Yarn(Arc::from(s.into().into_boxed_str()))
     }
 
-    /// The type name for diagnostics.
-    pub fn type_name(&self) -> &'static str {
-        match self {
-            Value::Noob => "NOOB",
-            Value::Troof(_) => "TROOF",
-            Value::Numbr(_) => "NUMBR",
-            Value::Numbar(_) => "NUMBAR",
-            Value::Yarn(_) => "YARN",
-        }
-    }
-
     /// Coerce to TROOF (always succeeds): empty/zero/NOOB are FAIL.
     pub fn to_troof(&self) -> bool {
         match self {

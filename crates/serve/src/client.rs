@@ -78,15 +78,6 @@ impl Conn {
         }
     }
 
-    /// Send raw bytes verbatim (for malformed-request tests) and read
-    /// one response.
-    pub fn send_raw(&mut self, raw: &[u8]) -> std::io::Result<Response> {
-        let stream = self.reader.get_mut();
-        stream.write_all(raw)?;
-        stream.flush()?;
-        self.read_response()
-    }
-
     fn read_line(&mut self) -> std::io::Result<String> {
         let mut line = Vec::new();
         let mut byte = [0u8; 1];

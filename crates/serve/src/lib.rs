@@ -1,8 +1,8 @@
 //! `lol-serve` — the `lold` playground service.
 //!
 //! A dependency-free JSON-over-HTTP daemon that exposes the whole
-//! toolchain — every backend in the engine registry — behind four
-//! routes:
+//! toolchain — every backend `lolcode::engine_for` dispatches — behind
+//! four routes:
 //!
 //! * `POST /run` — compile (or fetch from the artifact cache) and run
 //!   one config; the response body is the same stable JSON

@@ -1,7 +1,8 @@
 //! Barrier algorithms for `HUGZ`.
 //!
-//! Two classic algorithms are provided so the benches can ablate the
-//! choice (DESIGN.md, ablation A1):
+//! Two classic algorithms are provided so sweeps (`barrier=central,
+//! dissem`) and the benchmark's `spmd_barrier` workload can ablate the
+//! choice (docs/ARCHITECTURE.md, "The substrate"):
 //!
 //! * **Centralized sense-reversing** — one shared counter + sense flag.
 //!   O(P) contention on one cache line, trivial to understand: the

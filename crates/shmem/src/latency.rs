@@ -151,7 +151,7 @@ impl LatencyModel {
     }
 
     /// A 4×4 torus with Epiphany-like per-hop costs — the "what if the
-    /// eMesh had wraparound links" counterfactual for the benches.
+    /// eMesh had wraparound links" counterfactual for latency sweeps.
     pub fn torus16() -> Self {
         LatencyModel::Torus2D { width: 4, height: 4, base_ns: 50, hop_ns: 11 }
     }

@@ -3,24 +3,29 @@
 //! The paper runs parallel LOLCODE on OpenSHMEM over two machines: a
 //! 16-core Adapteva Epiphany-III (Parallella board) and a Cray XC40.
 //! Neither is available here, so this crate is the substitution
-//! (DESIGN.md §2): processing elements (PEs) are OS threads, and the
-//! partitioned global address space is a per-PE **symmetric heap** of
-//! `AtomicU64` words.
+//! (docs/ARCHITECTURE.md, "The substrate"): processing elements (PEs)
+//! are OS threads, and the partitioned global address space is a
+//! per-PE **symmetric heap** of `AtomicU64` words.
 //!
-//! The API mirrors the minimal OpenSHMEM subset the paper says it uses:
+//! The API is the OpenSHMEM subset the paper's language extensions
+//! compile to (its Tables I/II):
 //!
 //! * PE enumeration — [`Pe::id`], [`Pe::n_pes`] (`ME`, `MAH FRENZ`),
-//! * symmetric allocation — [`Pe::shmalloc`] (collective, like
-//!   `shmem_malloc`),
+//! * symmetric allocation — [`Pe::shmalloc`] / [`Pe::shmalloc_lock`]
+//!   (collective, like `shmem_malloc`),
 //! * one-sided remote access — [`Pe::put_i64`]/[`Pe::get_i64`] and
-//!   friends (`shmem_p`/`shmem_g`), plus block transfers,
-//! * atomics — [`Pe::fetch_add_i64`], [`Pe::cswap_u64`], [`Pe::swap_u64`]
-//!   (`shmem_atomic_*`),
-//! * synchronization — [`Pe::barrier_all`] (`HUGZ`), global locks
+//!   friends (`shmem_p`/`shmem_g`),
+//! * synchronization — [`Pe::barrier_all`] (`HUGZ`) and global locks
 //!   ([`Pe::lock`]/[`Pe::try_lock`]/[`Pe::unlock`] — `IM (SRSLY) MESIN
-//!   WIF` / `DUN MESIN WIF`), [`Pe::wait_until`], [`Pe::quiet`],
-//! * collectives used implicitly by the backend — [`Pe::broadcast_u64`],
-//!   [`Pe::reduce_i64`], [`Pe::reduce_f64`].
+//!   WIF` / `DUN MESIN WIF`, like `shmem_set_lock`/`shmem_test_lock`/
+//!   `shmem_clear_lock`),
+//! * per-PE random streams — [`Pe::rand_i64`]/[`Pe::rand_f64`]
+//!   (`WHATEVR`/`WHATEVAR`),
+//! * introspection — [`Pe::stats`] and [`Pe::take_trace`].
+//!
+//! [`run_spmd`] launches a job; the [`Substrate`] trait is the
+//! non-blocking view of the same contract that the resumable VM (and
+//! the simulator's PEs) drive.
 //!
 //! ## Memory model
 //!
@@ -38,7 +43,8 @@
 //! `Mesh2D` models the Epiphany eMesh (Manhattan-distance hops),
 //! `Uniform` models a flat interconnect (Cray Aries analog). Barriers
 //! and locks each come in two algorithms (see [`BarrierKind`],
-//! [`LockKind`]) so the benches can ablate the design choices.
+//! [`LockKind`]) so sweeps and the benchmark can ablate the design
+//! choices.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -65,51 +71,3 @@ pub use lol_trace::{ClockMode, EventKind, PeTrace, Trace, TraceBuffer, TraceEven
 pub use stats::CommStats;
 pub use substrate::{Progress, Substrate};
 pub use world::{run_spmd, Pe, ShmemConfig, SpmdError, World};
-
-/// Comparison operators for [`Pe::wait_until`] (mirrors
-/// `SHMEM_CMP_*`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum WaitCmp {
-    /// Wait until the word equals the operand (`SHMEM_CMP_EQ`).
-    Eq,
-    /// Wait until the word differs from the operand (`SHMEM_CMP_NE`).
-    Ne,
-    /// Wait until the word exceeds the operand (`SHMEM_CMP_GT`).
-    Gt,
-    /// Wait until the word is at least the operand (`SHMEM_CMP_GE`).
-    Ge,
-    /// Wait until the word is below the operand (`SHMEM_CMP_LT`).
-    Lt,
-    /// Wait until the word is at most the operand (`SHMEM_CMP_LE`).
-    Le,
-}
-
-impl WaitCmp {
-    /// Apply the comparison.
-    #[inline]
-    pub fn test(self, lhs: i64, rhs: i64) -> bool {
-        match self {
-            WaitCmp::Eq => lhs == rhs,
-            WaitCmp::Ne => lhs != rhs,
-            WaitCmp::Gt => lhs > rhs,
-            WaitCmp::Ge => lhs >= rhs,
-            WaitCmp::Lt => lhs < rhs,
-            WaitCmp::Le => lhs <= rhs,
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn wait_cmp_truth_table() {
-        assert!(WaitCmp::Eq.test(3, 3) && !WaitCmp::Eq.test(3, 4));
-        assert!(WaitCmp::Ne.test(3, 4) && !WaitCmp::Ne.test(3, 3));
-        assert!(WaitCmp::Gt.test(4, 3) && !WaitCmp::Gt.test(3, 3));
-        assert!(WaitCmp::Ge.test(3, 3) && !WaitCmp::Ge.test(2, 3));
-        assert!(WaitCmp::Lt.test(2, 3) && !WaitCmp::Lt.test(3, 3));
-        assert!(WaitCmp::Le.test(3, 3) && !WaitCmp::Le.test(4, 3));
-    }
-}

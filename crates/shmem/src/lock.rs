@@ -7,7 +7,9 @@
 //! may acquire; here the lock state lives in [`LOCK_WORDS`] consecutive
 //! words of the owning PE's heap partition.
 //!
-//! Two algorithms (ablation A2 in DESIGN.md):
+//! Two algorithms, so sweeps (`lock=cas,ticket`) and the benchmark's
+//! `spmd_lock` workload can ablate the choice (docs/ARCHITECTURE.md,
+//! "The substrate"):
 //!
 //! * **SpinCas** — compare-and-swap on a single word with exponential
 //!   backoff. Simple, unfair under contention.
@@ -145,11 +147,6 @@ impl<'a> LockWords<'a> {
             }
         }
     }
-
-    /// Is the lock currently held (snapshot, for diagnostics)?
-    pub(crate) fn is_held(&self) -> bool {
-        self.owner.load(Ordering::Relaxed) != 0
-    }
 }
 
 #[cfg(test)]
@@ -172,6 +169,9 @@ mod tests {
         fn words(&self) -> LockWords<'_> {
             LockWords { owner: &self.w[0], next: &self.w[1], serving: &self.w[2] }
         }
+        fn is_held(&self) -> bool {
+            self.w[0].load(Ordering::Relaxed) != 0
+        }
     }
 
     fn both_kinds() -> [LockKind; 2] {
@@ -192,9 +192,9 @@ mod tests {
         for kind in both_kinds() {
             let c = Cell3::new();
             assert!(c.words().try_acquire(kind, 3), "{kind:?}");
-            assert!(c.words().is_held());
+            assert!(c.is_held());
             c.words().release(kind, 3);
-            assert!(!c.words().is_held());
+            assert!(!c.is_held());
         }
     }
 

@@ -4,7 +4,7 @@
 //! separately). For a teaching tool this is half the point: students
 //! can *see* the communication volume of their algorithm — e.g. that
 //! the paper's n-body does O(P·n²) remote gets per step while the ring
-//! example does one block transfer.
+//! example pulls one neighbour's array.
 //!
 //! Counters live in plain `Cell`s on the [`crate::Pe`] handle (one
 //! writer each, zero synchronization cost) and are snapshotted with
@@ -24,11 +24,16 @@ pub struct CommStats {
     pub local_puts: u64,
     /// Scalar puts to another PE's partition.
     pub remote_puts: u64,
-    /// Words moved by block gets (any target).
+    /// Words moved by block gets (any target). No substrate operation
+    /// moves blocks, so this reads 0; it stays so the report shape is
+    /// stable.
     pub block_get_words: u64,
-    /// Words moved by block puts (any target).
+    /// Words moved by block puts (any target); 0, like
+    /// `block_get_words`.
     pub block_put_words: u64,
-    /// Atomic memory operations (fetch-add / cswap / swap).
+    /// Atomic memory operations. Only the C stub counts these (the
+    /// AMOs its locks are built from); the threaded and simulated
+    /// substrates report 0.
     pub amos: u64,
     /// Barrier episodes entered.
     pub barriers: u64,
@@ -123,9 +128,6 @@ pub(crate) struct StatCells {
     pub remote_gets: Cell<u64>,
     pub local_puts: Cell<u64>,
     pub remote_puts: Cell<u64>,
-    pub block_get_words: Cell<u64>,
-    pub block_put_words: Cell<u64>,
-    pub amos: Cell<u64>,
     pub barriers: Cell<u64>,
     pub lock_acquires: Cell<u64>,
     pub lock_tries: Cell<u64>,
@@ -138,24 +140,17 @@ impl StatCells {
         cell.set(cell.get() + 1);
     }
 
-    #[inline]
-    pub(crate) fn add(cell: &Cell<u64>, n: u64) {
-        cell.set(cell.get() + n);
-    }
-
     pub(crate) fn snapshot(&self) -> CommStats {
         CommStats {
             local_gets: self.local_gets.get(),
             remote_gets: self.remote_gets.get(),
             local_puts: self.local_puts.get(),
             remote_puts: self.remote_puts.get(),
-            block_get_words: self.block_get_words.get(),
-            block_put_words: self.block_put_words.get(),
-            amos: self.amos.get(),
             barriers: self.barriers.get(),
             lock_acquires: self.lock_acquires.get(),
             lock_tries: self.lock_tries.get(),
             lock_releases: self.lock_releases.get(),
+            ..CommStats::default()
         }
     }
 }
@@ -171,13 +166,11 @@ mod tests {
         StatCells::bump(&cells.remote_gets);
         StatCells::bump(&cells.remote_gets);
         StatCells::bump(&cells.local_puts);
-        StatCells::add(&cells.block_put_words, 32);
         let s = cells.snapshot();
         assert_eq!(s.local_gets, 1);
         assert_eq!(s.remote_gets, 2);
         assert_eq!(s.scalar_ops(), 4);
         assert!((s.remote_fraction() - 0.5).abs() < 1e-12);
-        assert_eq!(s.block_put_words, 32);
     }
 
     #[test]

@@ -48,17 +48,6 @@ impl<T> Progress<T> {
             Progress::Pending => None,
         }
     }
-
-    /// Did the operation complete?
-    pub fn is_ready(&self) -> bool {
-        matches!(self, Progress::Ready(_))
-    }
-
-    /// Did the operation park the caller? Sharded engines use this to
-    /// hand the PE to the next window merge.
-    pub fn is_pending(&self) -> bool {
-        matches!(self, Progress::Pending)
-    }
 }
 
 /// The substrate operations the resumable VM executes, in
@@ -188,7 +177,7 @@ mod tests {
             let a = sub.shmalloc(1).ready().expect("threaded shmalloc is immediate");
             let next = (sub.id() + 1) % sub.n_pes();
             sub.put_i64(a, next, sub.id() as i64 * 10);
-            assert!(sub.barrier().is_ready());
+            assert_eq!(sub.barrier(), Progress::Ready(()));
             sub.get_i64(a, sub.id())
         }
         let r = run_spmd(ShmemConfig::new(4), |pe| ring(pe)).unwrap();
@@ -199,10 +188,6 @@ mod tests {
     fn progress_accessors() {
         assert_eq!(Progress::Ready(7).ready(), Some(7));
         assert_eq!(Progress::<i32>::Pending.ready(), None);
-        assert!(Progress::Ready(()).is_ready());
-        assert!(!Progress::<()>::Pending.is_ready());
-        assert!(Progress::<()>::Pending.is_pending());
-        assert!(!Progress::Ready(0).is_pending());
     }
 
     /// Locks through the trait: try, blocking acquire, release.
@@ -212,7 +197,7 @@ mod tests {
             let lk = pe.shmalloc(crate::lock::LOCK_WORDS);
             let x = Substrate::shmalloc(pe, 1).ready().unwrap();
             for _ in 0..50 {
-                assert!(Substrate::lock(pe, lk, 0).is_ready());
+                assert_eq!(Substrate::lock(pe, lk, 0), Progress::Ready(()));
                 let v = Substrate::get_i64(pe, x, 0);
                 Substrate::put_i64(pe, x, 0, v + 1);
                 Substrate::unlock(pe, lk, 0);

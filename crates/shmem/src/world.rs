@@ -18,7 +18,6 @@ use crate::rules::{
     panic_message, pe_rng, pe_tracer, virtual_charge_ns, AllocLog, AT_BARRIER, AT_LOCK,
 };
 use crate::stats::{CommStats, StatCells};
-use crate::WaitCmp;
 use lol_trace::{ClockMode, EventKind, PeTrace, TraceBuffer, VIRT_BARRIER_NS};
 use std::cell::{Cell, RefCell};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -174,27 +173,12 @@ impl ShmemConfig {
     }
 }
 
-/// Reduction operators for [`Pe::reduce_i64`] / [`Pe::reduce_f64`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ReduceOp {
-    /// Wrapping sum (`shmem_sum_reduce`).
-    Sum,
-    /// Wrapping product (`shmem_prod_reduce`).
-    Prod,
-    /// Minimum (`shmem_min_reduce`).
-    Min,
-    /// Maximum (`shmem_max_reduce`).
-    Max,
-}
-
 /// The shared state of one SPMD job.
 pub struct World {
     cfg: ShmemConfig,
     heaps: Box<[Heap]>,
     central: CentralBarrier,
     dissem: DisseminationBarrier,
-    /// One scratch slot per PE for collectives.
-    coll: Box<[CachePadded<AtomicU64>]>,
     /// Set when any PE fails; spinners notice and bail out.
     abort: AtomicBool,
     /// Collective-allocation sizes, offsets and cursor.
@@ -220,7 +204,6 @@ impl World {
         World {
             central: CentralBarrier::new(cfg.n_pes),
             dissem: DisseminationBarrier::new(cfg.n_pes),
-            coll: (0..cfg.n_pes).map(|_| CachePadded::new(AtomicU64::new(0))).collect(),
             abort: AtomicBool::new(false),
             alloc_log: Mutex::new(AllocLog::default()),
             vclock_pub: [slots(), slots()],
@@ -556,80 +539,6 @@ impl<'w> Pe<'w> {
         word_to_f64(self.get_u64(addr, target))
     }
 
-    /// Block put: contiguous words (one latency charge per call — block
-    /// transfers pipeline on real interconnects).
-    pub fn put_block(&self, addr: SymAddr, target: usize, values: &[u64]) {
-        StatCells::add(&self.stats.block_put_words, values.len() as u64);
-        self.charge(target);
-        for (i, &v) in values.iter().enumerate() {
-            self.word(target, addr.offset(i)).store(v, Ordering::Relaxed);
-        }
-        if target != self.id {
-            self.trace(EventKind::BlockPut, target, addr, (values.len() * 8) as u32);
-        }
-    }
-
-    /// Block get: contiguous words into `out`.
-    pub fn get_block(&self, addr: SymAddr, target: usize, out: &mut [u64]) {
-        StatCells::add(&self.stats.block_get_words, out.len() as u64);
-        self.charge(target);
-        for (i, o) in out.iter_mut().enumerate() {
-            *o = self.word(target, addr.offset(i)).load(Ordering::Relaxed);
-        }
-        if target != self.id {
-            self.trace(EventKind::BlockGet, target, addr, (out.len() * 8) as u32);
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Atomic memory operations (shmem_atomic_* analogs; SeqCst like
-    // SHMEM AMOs, which are strongly ordered among themselves)
-    // ------------------------------------------------------------------
-
-    /// Atomic fetch-add on `target`'s word, returning the old value.
-    #[inline]
-    pub fn fetch_add_i64(&self, addr: SymAddr, target: usize, delta: i64) -> i64 {
-        StatCells::bump(&self.stats.amos);
-        self.charge(target);
-        let old =
-            word_to_i64(self.word(target, addr).fetch_add(i64_to_word(delta), Ordering::SeqCst));
-        if target != self.id {
-            self.trace(EventKind::Amo, target, addr, 8);
-        }
-        old
-    }
-
-    /// Atomic compare-and-swap; returns the previous value.
-    #[inline]
-    pub fn cswap_u64(&self, addr: SymAddr, target: usize, expected: u64, desired: u64) -> u64 {
-        StatCells::bump(&self.stats.amos);
-        self.charge(target);
-        let old = match self.word(target, addr).compare_exchange(
-            expected,
-            desired,
-            Ordering::SeqCst,
-            Ordering::SeqCst,
-        ) {
-            Ok(old) | Err(old) => old,
-        };
-        if target != self.id {
-            self.trace(EventKind::Amo, target, addr, 8);
-        }
-        old
-    }
-
-    /// Atomic unconditional swap; returns the previous value.
-    #[inline]
-    pub fn swap_u64(&self, addr: SymAddr, target: usize, value: u64) -> u64 {
-        StatCells::bump(&self.stats.amos);
-        self.charge(target);
-        let old = self.word(target, addr).swap(value, Ordering::SeqCst);
-        if target != self.id {
-            self.trace(EventKind::Amo, target, addr, 8);
-        }
-        old
-    }
-
     // ------------------------------------------------------------------
     // Synchronization
     // ------------------------------------------------------------------
@@ -680,27 +589,6 @@ impl<'w> Pe<'w> {
         }
     }
 
-    /// Complete outstanding puts (`shmem_quiet`). With atomic words
-    /// this is a fence.
-    #[inline]
-    pub fn quiet(&self) {
-        std::sync::atomic::fence(Ordering::SeqCst);
-    }
-
-    /// Spin until **this PE's** instance of `addr` satisfies
-    /// `cmp value` (`shmem_wait_until` — point-to-point sync).
-    pub fn wait_until(&self, addr: SymAddr, cmp: WaitCmp, value: i64) -> i64 {
-        let mut guard = self.guard("WAIT UNTIL");
-        loop {
-            let cur = word_to_i64(self.word(self.id, addr).load(Ordering::Acquire));
-            if cmp.test(cur, value) {
-                self.trace(EventKind::Wait, self.id, addr, 0);
-                return cur;
-            }
-            guard.tick();
-        }
-    }
-
     // ------------------------------------------------------------------
     // Global locks (shmem_set_lock / test / clear analogs)
     // ------------------------------------------------------------------
@@ -736,62 +624,6 @@ impl<'w> Pe<'w> {
         self.charge(target);
         self.lock_words(addr, target).release(self.world.cfg.lock, self.id);
         self.trace(EventKind::LockRelease, target, addr, 0);
-    }
-
-    /// Is the lock held right now (diagnostic snapshot)?
-    pub fn lock_is_held(&self, addr: SymAddr, target: usize) -> bool {
-        self.lock_words(addr, target).is_held()
-    }
-
-    // ------------------------------------------------------------------
-    // Collectives (used implicitly by the language backend)
-    // ------------------------------------------------------------------
-
-    /// Broadcast a word from `root` to every PE. Collective.
-    pub fn broadcast_u64(&self, root: usize, value: u64) -> u64 {
-        if self.id == root {
-            self.world.coll[root].store(value, Ordering::Release);
-        }
-        self.barrier_all();
-        let out = self.world.coll[root].load(Ordering::Acquire);
-        self.barrier_all();
-        out
-    }
-
-    /// All-reduce over one `i64` per PE. Collective.
-    pub fn reduce_i64(&self, value: i64, op: ReduceOp) -> i64 {
-        self.world.coll[self.id].store(i64_to_word(value), Ordering::Release);
-        self.barrier_all();
-        let mut acc = word_to_i64(self.world.coll[0].load(Ordering::Acquire));
-        for pe in 1..self.n_pes() {
-            let v = word_to_i64(self.world.coll[pe].load(Ordering::Acquire));
-            acc = match op {
-                ReduceOp::Sum => acc.wrapping_add(v),
-                ReduceOp::Prod => acc.wrapping_mul(v),
-                ReduceOp::Min => acc.min(v),
-                ReduceOp::Max => acc.max(v),
-            };
-        }
-        self.barrier_all();
-        acc
-    }
-
-    /// All-reduce over one `f64` per PE. Collective.
-    pub fn reduce_f64(&self, value: f64, op: ReduceOp) -> f64 {
-        self.world.coll[self.id].store(f64_to_word(value), Ordering::Release);
-        self.barrier_all();
-        let mut acc = word_to_f64(self.world.coll[0].load(Ordering::Acquire));
-        for pe in 1..self.n_pes() {
-            let v = word_to_f64(self.world.coll[pe].load(Ordering::Acquire));
-            acc = match op {
-                ReduceOp::Sum => acc + v,
-                ReduceOp::Prod => acc * v,
-                ReduceOp::Min => acc.min(v),
-                ReduceOp::Max => acc.max(v),
-            };
-        }
-        self.barrier_all();
-        acc
     }
 
     // ------------------------------------------------------------------
@@ -901,92 +733,6 @@ mod tests {
     }
 
     #[test]
-    fn block_transfers() {
-        let r = run_spmd(cfg(4), |pe| {
-            let a = pe.shmalloc(32);
-            let vals: Vec<u64> = (0..32).map(|i| (pe.id() as u64) << 32 | i).collect();
-            pe.put_block(a, pe.id(), &vals);
-            pe.barrier_all();
-            let next = (pe.id() + 1) % pe.n_pes();
-            let mut out = vec![0u64; 32];
-            pe.get_block(a, next, &mut out);
-            out
-        })
-        .unwrap();
-        for (me, out) in r.into_iter().enumerate() {
-            let next = (me + 1) % 4;
-            for (i, w) in out.into_iter().enumerate() {
-                assert_eq!(w, (next as u64) << 32 | i as u64);
-            }
-        }
-    }
-
-    #[test]
-    fn amo_fetch_add_counts_correctly() {
-        let n = 8;
-        let iters = 1000;
-        let r = run_spmd(cfg(n), |pe| {
-            let a = pe.shmalloc(1);
-            for _ in 0..iters {
-                pe.fetch_add_i64(a, 0, 1);
-            }
-            pe.barrier_all();
-            pe.get_i64(a, 0)
-        })
-        .unwrap();
-        for v in r {
-            assert_eq!(v, (n * iters) as i64);
-        }
-    }
-
-    #[test]
-    fn cswap_and_swap() {
-        let r = run_spmd(cfg(2), |pe| {
-            let a = pe.shmalloc(1);
-            pe.barrier_all();
-            if pe.id() == 0 {
-                let old = pe.cswap_u64(a, 1, 0, 42);
-                assert_eq!(old, 0);
-                let old2 = pe.cswap_u64(a, 1, 0, 99); // fails: now 42
-                assert_eq!(old2, 42);
-            }
-            pe.barrier_all();
-            pe.get_u64(a, pe.id())
-        })
-        .unwrap();
-        assert_eq!(r[1], 42);
-        let r2 = run_spmd(cfg(2), |pe| {
-            let a = pe.shmalloc(1);
-            pe.put_u64(a, pe.id(), 5);
-            pe.barrier_all();
-            if pe.id() == 1 {
-                assert_eq!(pe.swap_u64(a, 0, 7), 5);
-            }
-            pe.barrier_all();
-            pe.get_u64(a, pe.id())
-        })
-        .unwrap();
-        assert_eq!(r2[0], 7);
-    }
-
-    #[test]
-    fn wait_until_point_to_point() {
-        let r = run_spmd(cfg(2), |pe| {
-            let flag = pe.shmalloc(1);
-            if pe.id() == 0 {
-                // Give PE 1 a moment to start waiting, then signal.
-                std::thread::sleep(Duration::from_millis(10));
-                pe.put_i64(flag, 1, 99);
-                0
-            } else {
-                pe.wait_until(flag, WaitCmp::Eq, 99)
-            }
-        })
-        .unwrap();
-        assert_eq!(r[1], 99);
-    }
-
-    #[test]
     fn locks_protect_read_modify_write() {
         for kind in [LockKind::SpinCas, LockKind::Ticket] {
             let n = 8;
@@ -1043,44 +789,6 @@ mod tests {
             pe.unlock(lk, pe.id());
         })
         .unwrap();
-    }
-
-    #[test]
-    fn broadcast_from_each_root() {
-        let r = run_spmd(cfg(4), |pe| {
-            let mut got = Vec::new();
-            for root in 0..pe.n_pes() {
-                let v = pe.broadcast_u64(root, (root as u64 + 1) * 11);
-                got.push(v);
-            }
-            got
-        })
-        .unwrap();
-        for row in r {
-            assert_eq!(row, vec![11, 22, 33, 44]);
-        }
-    }
-
-    #[test]
-    fn reductions() {
-        let r = run_spmd(cfg(5), |pe| {
-            let me = pe.id() as i64;
-            (
-                pe.reduce_i64(me, ReduceOp::Sum),
-                pe.reduce_i64(me, ReduceOp::Min),
-                pe.reduce_i64(me, ReduceOp::Max),
-                pe.reduce_i64(me + 1, ReduceOp::Prod),
-                pe.reduce_f64(0.5, ReduceOp::Sum),
-            )
-        })
-        .unwrap();
-        for (sum, min, max, prod, fsum) in r {
-            assert_eq!(sum, 10);
-            assert_eq!(min, 0);
-            assert_eq!(max, 4);
-            assert_eq!(prod, 120);
-            assert!((fsum - 2.5).abs() < 1e-12);
-        }
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! become heap offsets, pinned (`ITZ SRSLY A`) types become explicit
 //! `Cast` instructions, and control flow becomes jumps. The dynamic
 //! constructs that cannot be resolved statically (`SRS`) are rejected
-//! with a compile error — the documented compiled-subset restriction
-//! (DESIGN.md §3.11).
+//! with a compile error (`VMC0001`) — the documented compiled-subset
+//! restriction (docs/LANGUAGE.md, "Readings of the paper").
 
 use crate::ops::{ArrLoc, Chunk, Module, Op};
 use lol_ast::diag::Diagnostic;

@@ -9,12 +9,12 @@
 //! [`compile`] lowers an analyzed program to a [`Module`] (slots
 //! resolved, shared offsets baked in, control flow as jumps); the VM
 //! executes modules SPMD over [`lol_shmem`], byte-for-byte matching the
-//! interpreter's output (see the differential tests below and the
-//! `interp_vs_vm` bench, which reproduces the paper's
-//! compiled-vs-interpreted claim).
+//! interpreter's output (see the differential tests below, and the
+//! benchmark's `kernels_interp` and `kernels_vm` workloads for the
+//! paper's compiled-vs-interpreted claim).
 //!
 //! Restriction: `SRS` (dynamic identifiers) is interpreter-only; the
-//! compiler rejects it with `VMC0001` (DESIGN.md §3.11).
+//! compiler rejects it with `VMC0001` (docs/LANGUAGE.md).
 
 #![forbid(unsafe_code)]
 
@@ -28,16 +28,8 @@ pub use machine::{Machine, Step};
 pub use ops::{Chunk, Module, Op};
 pub use profile::{HotRange, VmProfile};
 
-use lol_ast::Program;
 use lol_interp::RunError;
-use lol_sema::Analysis;
 use lol_shmem::Pe;
-
-/// Compile and immediately report the first error as a rendered string
-/// (test/CLI convenience).
-pub fn compile_checked(program: &Program, analysis: &Analysis) -> Result<Module, String> {
-    compile(program, analysis).map_err(|d| d.to_string())
-}
 
 /// Run a compiled module on one PE; returns captured output.
 ///
@@ -76,8 +68,9 @@ pub fn run_on_pe_profiled(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lol_ast::Program;
     use lol_parser::parse;
-    use lol_sema::analyze;
+    use lol_sema::{analyze, Analysis};
     use lol_shmem::{run_spmd, ShmemConfig, SpmdError};
     use std::time::Duration;
 

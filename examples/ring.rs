@@ -32,8 +32,8 @@ fn main() {
     let total = report.total_stats();
     println!(
         "\nremote words copied: {} ({} per PE)",
-        total.remote_gets + total.block_get_words,
-        (total.remote_gets + total.block_get_words) / n_pes as u64
+        total.remote_gets,
+        total.remote_gets / n_pes as u64
     );
     println!("ring verified: each PE holds its neighbour's 32 NUMBRs — KTHXBYE");
 }

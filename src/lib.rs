@@ -35,9 +35,9 @@
 //! assert_eq!(outs[0], "OH HAI PE 0\n");
 //! ```
 //!
-//! See `README.md` for the architecture tour, `DESIGN.md` for the
-//! paper-to-module mapping and `EXPERIMENTS.md` for the reproduced
-//! tables/figures.
+//! See `docs/ARCHITECTURE.md` for the crate map and pipeline,
+//! `docs/LANGUAGE.md` for the dialect (the paper's Tables I/II surface)
+//! and `docs/PERF.md` for where each measured figure comes from.
 
 pub use lol_ast as ast;
 pub use lol_c_codegen as codegen;
@@ -51,13 +51,13 @@ pub use lolcode as driver;
 /// The most common imports, bundled.
 pub mod prelude {
     pub use lol_shmem::{
-        run_spmd, BarrierKind, CommStats, LatencyModel, LockKind, ShmemConfig, SymAddr, WaitCmp,
+        run_spmd, BarrierKind, CommStats, LatencyModel, LockKind, ShmemConfig, SymAddr,
     };
     pub use lolcode::corpus;
     pub use lolcode::{
         check, compile, compile_to_c, config_key, engine_for, jsonl_record, parse_jsonl_done,
-        parse_program, registry, run_source, Backend, CEngine, ClockMode, Compiled, Engine,
-        EngineRegistry, EventKind, InterpEngine, LolError, PeTrace, RunConfig, RunReport,
-        SimEngine, SweepEntry, SweepReport, SweepSpec, Trace, TraceEvent, TraceSpec, VmEngine,
+        parse_program, run_source, Backend, CEngine, ClockMode, Compiled, Engine, EventKind,
+        InterpEngine, LolError, PeTrace, RunConfig, RunReport, SimEngine, SweepEntry, SweepReport,
+        SweepSpec, Trace, TraceEvent, TraceSpec, VmEngine,
     };
 }
