@@ -374,15 +374,6 @@ fn main() -> ExitCode {
         }
     };
 
-    // Read stdin (if piped) for GIMMEH.
-    let mut stdin_lines = Vec::new();
-    if !atty_stdin() {
-        use std::io::BufRead;
-        for line in std::io::stdin().lock().lines().map_while(Result::ok) {
-            stdin_lines.push(line);
-        }
-    }
-
     // Compile once; every run below reuses the artifact.
     let artifact = match compile(&src) {
         Ok(a) => a,
@@ -393,6 +384,16 @@ fn main() -> ExitCode {
     };
     for w in artifact.warnings() {
         eprint!("{w}");
+    }
+
+    // Read piped stdin for GIMMEH — only when the program has one, so a
+    // caller that leaves stdin open never blocks a program without it.
+    let mut stdin_lines = Vec::new();
+    if artifact.analysis().features.uses_gimmeh && !atty_stdin() {
+        use std::io::BufRead;
+        for line in std::io::stdin().lock().lines().map_while(Result::ok) {
+            stdin_lines.push(line);
+        }
     }
 
     // `--trace-out` without a format means a Perfetto artifact.
@@ -759,8 +760,8 @@ fn print_stats(report: &RunReport) {
     );
 }
 
-/// Crude isatty: when stdin can't give us a size hint treat it as a
-/// terminal (don't block waiting for input).
+/// Is stdin a terminal? Input typed at a terminal is not read ahead, so
+/// an interactive run never waits for an end-of-file.
 fn atty_stdin() -> bool {
     use std::io::IsTerminal;
     std::io::stdin().is_terminal()

@@ -330,6 +330,39 @@ fn lolrun_pipes_stdin_to_gimmeh() {
 }
 
 #[test]
+fn lolrun_does_not_wait_for_stdin_without_gimmeh() {
+    // A caller (harness, editor task, subprocess) may hold stdin open
+    // and never close it: a program with no GIMMEH must not read it.
+    let prog = write_temp("no_input.lol", "HAI 1.2\nVISIBLE \"NO INPUT NEEDED\"\nKTHXBYE\n");
+    for backend in ["interp", "vm"] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_lolrun"))
+            .args(["-np", "1", "--backend", backend])
+            .arg(&prog)
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .spawn()
+            .unwrap();
+        let held_open = child.stdin.take();
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        let status = loop {
+            if let Some(status) = child.try_wait().unwrap() {
+                break status;
+            }
+            if std::time::Instant::now() > deadline {
+                child.kill().unwrap();
+                panic!("lolrun --backend {backend} blocked on an open stdin");
+            }
+            std::thread::sleep(std::time::Duration::from_millis(20));
+        };
+        drop(held_open);
+        assert!(status.success(), "--backend {backend}");
+        let mut out = String::new();
+        std::io::Read::read_to_string(&mut child.stdout.take().unwrap(), &mut out).unwrap();
+        assert_eq!(out, "NO INPUT NEEDED\n", "--backend {backend}");
+    }
+}
+
+#[test]
 fn lcc_emits_c_to_stdout_and_file() {
     let prog = write_temp("tr.lol", "HAI 1.2\nHUGZ\nVISIBLE ME\nKTHXBYE\n");
     // stdout mode

@@ -7,97 +7,82 @@
 //! prefixed (`v_`, `g_`, `f_`) so they can never collide with C
 //! keywords or the runtime.
 //!
-//! Typed lowering: every expression carries a static C type ([`CTy`]).
-//! Where the type is pinned at compile time — `ITZ SRSLY A TROOF|NUMBR|
-//! NUMBAR` locals, NUMBR/NUMBAR arrays, shared cells, literals, `ME`,
-//! `MAH FRENZ`, `WHATEVR`/`WHATEVAR` and loop counters the body never
-//! assigns — values live in native `int`/`long long`/`double` and
-//! operators lower to native C (NUMBR ops through the wrapping `lol_i*`
-//! helpers, so no signed-overflow UB). Everything else (`IT`, untyped
-//! variables, YARNs, function parameters and returns) stays boxed in
-//! `lol_value_t`.
+//! Typed lowering: every expression carries its static type
+//! ([`Ty`], from the one typing analysis in [`lol_sema::types`]). Where
+//! the type is pinned at compile time values live in native
+//! `int`/`long long`/`double` and operators lower to native C (NUMBR
+//! ops through the wrapping `lol_i*` helpers, so no signed-overflow
+//! UB). Everything boxed (`IT`, untyped variables, YARNs, function
+//! parameters and returns) rides on `lol_value_t`.
 
 use crate::runtime::LOL_RUNTIME;
 use lol_ast::diag::Diagnostic;
-use lol_ast::visit::{walk_lvalue, Visitor};
 use lol_ast::*;
+use lol_sema::types::{self, Ty};
 use lol_sema::{Analysis, SharedKind, SharedVar};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
 type CResult<T> = Result<T, Diagnostic>;
 
-/// The static C type of an emitted expression.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum CTy {
-    /// `long long` (a NUMBR).
-    Int,
-    /// `double` (a NUMBAR).
-    Dbl,
-    /// `int` holding 0 or 1 (a TROOF).
-    Bool,
-    /// `lol_value_t` (type known only at run time).
-    Boxed,
-}
-
 /// A C expression and its static type.
 #[derive(Clone, Debug)]
 struct CExpr {
     c: String,
-    ty: CTy,
+    ty: Ty,
 }
 
 impl CExpr {
-    fn new(c: impl Into<String>, ty: CTy) -> Self {
+    fn new(c: impl Into<String>, ty: Ty) -> Self {
         CExpr { c: c.into(), ty }
     }
 
     /// The value as a `lol_value_t`.
     fn boxed(self) -> String {
         match self.ty {
-            CTy::Int => format!("lol_from_int({})", self.c),
-            CTy::Dbl => format!("lol_from_dbl({})", self.c),
-            CTy::Bool => format!("lol_from_bool({})", self.c),
-            CTy::Boxed => self.c,
+            Ty::Int => format!("lol_from_int({})", self.c),
+            Ty::Dbl => format!("lol_from_dbl({})", self.c),
+            Ty::Bool => format!("lol_from_bool({})", self.c),
+            Ty::Boxed => self.c,
         }
     }
 
     /// The value coerced to NUMBR, as a `long long`.
     fn int(self) -> String {
         match self.ty {
-            CTy::Int => self.c,
-            CTy::Dbl => format!("lol_dtoi({})", self.c),
-            CTy::Bool => format!("(long long)({})", self.c),
-            CTy::Boxed => format!("lol_to_int({})", self.c),
+            Ty::Int => self.c,
+            Ty::Dbl => format!("lol_dtoi({})", self.c),
+            Ty::Bool => format!("(long long)({})", self.c),
+            Ty::Boxed => format!("lol_to_int({})", self.c),
         }
     }
 
     /// The value coerced to NUMBAR, as a `double`.
     fn dbl(self) -> String {
         match self.ty {
-            CTy::Int | CTy::Bool => format!("(double)({})", self.c),
-            CTy::Dbl => self.c,
-            CTy::Boxed => format!("lol_to_dbl({})", self.c),
+            Ty::Int | Ty::Bool => format!("(double)({})", self.c),
+            Ty::Dbl => self.c,
+            Ty::Boxed => format!("lol_to_dbl({})", self.c),
         }
     }
 
     /// The value coerced to TROOF, as an `int` 0/1.
     fn truth(self) -> String {
         match self.ty {
-            CTy::Int => format!("({} != 0)", self.c),
-            CTy::Dbl => format!("({} != 0.0)", self.c),
-            CTy::Bool => self.c,
-            CTy::Boxed => format!("lol_to_bool({})", self.c),
+            Ty::Int => format!("({} != 0)", self.c),
+            Ty::Dbl => format!("({} != 0.0)", self.c),
+            Ty::Bool => self.c,
+            Ty::Boxed => format!("lol_to_bool({})", self.c),
         }
     }
 
     /// The value coerced to `ty`, as that type's C representation.
-    fn to(self, ty: CTy) -> String {
+    fn to(self, ty: Ty) -> String {
         match ty {
-            CTy::Int => self.int(),
-            CTy::Dbl => self.dbl(),
-            CTy::Bool => self.truth(),
-            CTy::Boxed => self.boxed(),
+            Ty::Int => self.int(),
+            Ty::Dbl => self.dbl(),
+            Ty::Bool => self.truth(),
+            Ty::Boxed => self.boxed(),
         }
     }
 }
@@ -105,22 +90,12 @@ impl CExpr {
 /// How a name resolves for the emitter.
 #[derive(Clone, Copy)]
 enum CKind {
-    /// A scalar of C type `ty`; boxed `SRSLY` scalars keep their
+    /// A scalar of static type `ty`; boxed `SRSLY` scalars keep their
     /// `pinned` type through a cast on every store.
-    Scalar { ty: CTy, pinned: Option<LolType> },
+    Scalar { ty: Ty, pinned: Option<LolType> },
     /// A local array: `lol_iarr_t`/`lol_darr_t` for `Int`/`Dbl`
     /// elements, `lol_arr_t` for `Boxed` ones.
-    Array { elem: CTy },
-}
-
-/// The native C type of a TROOF, NUMBR or NUMBAR value.
-fn native(ty: LolType) -> Option<CTy> {
-    match ty {
-        LolType::Troof => Some(CTy::Bool),
-        LolType::Numbr => Some(CTy::Int),
-        LolType::Numbar => Some(CTy::Dbl),
-        LolType::Noob | LolType::Yarn => None,
-    }
+    Array { elem: Ty },
 }
 
 pub(crate) struct CEmitter<'a> {
@@ -136,7 +111,7 @@ pub(crate) struct CEmitter<'a> {
     tmp: usize,
 }
 
-const BOXED: CKind = CKind::Scalar { ty: CTy::Boxed, pinned: None };
+const BOXED: CKind = CKind::Scalar { ty: Ty::Boxed, pinned: None };
 
 impl<'a> CEmitter<'a> {
     pub(crate) fn new(analysis: &'a Analysis) -> Self {
@@ -352,25 +327,23 @@ impl<'a> CEmitter<'a> {
             }
             ExprKind::Un { op, expr } => {
                 let v = self.expr(expr)?;
-                match op {
-                    UnOp::Not => CExpr::new(format!("(!{})", v.truth()), CTy::Bool),
-                    UnOp::Squar => match v.ty {
-                        CTy::Boxed => CExpr::new(format!("lol_squar({})", v.c), CTy::Boxed),
-                        CTy::Dbl => CExpr::new(format!("lol_dsquar({})", v.c), CTy::Dbl),
-                        CTy::Int | CTy::Bool => {
-                            CExpr::new(format!("lol_isquar({})", v.int()), CTy::Int)
-                        }
-                    },
-                    UnOp::Unsquar => CExpr::new(format!("sqrt({})", v.dbl()), CTy::Dbl),
-                    UnOp::Flip => CExpr::new(format!("(1.0 / {})", v.dbl()), CTy::Dbl),
-                }
+                let ty = types::un(*op, v.ty);
+                let c = match (op, ty) {
+                    (UnOp::Not, _) => format!("(!{})", v.truth()),
+                    (UnOp::Squar, Ty::Boxed) => format!("lol_squar({})", v.c),
+                    (UnOp::Squar, Ty::Dbl) => format!("lol_dsquar({})", v.c),
+                    (UnOp::Squar, _) => format!("lol_isquar({})", v.int()),
+                    (UnOp::Unsquar, _) => format!("sqrt({})", v.dbl()),
+                    (UnOp::Flip, _) => format!("(1.0 / {})", v.dbl()),
+                };
+                CExpr::new(c, ty)
             }
             ExprKind::Nary { op, args } => {
                 let parts: CResult<Vec<CExpr>> = args.iter().map(|a| self.expr(a)).collect();
                 let parts = parts?;
                 let logic = |sep: &str, parts: Vec<CExpr>| {
                     let terms: Vec<String> = parts.into_iter().map(CExpr::truth).collect();
-                    CExpr::new(format!("({})", terms.join(sep)), CTy::Bool)
+                    CExpr::new(format!("({})", terms.join(sep)), types::nary(*op))
                 };
                 match op {
                     NaryOp::Smoosh => smoosh(parts.into_iter().map(CExpr::boxed)),
@@ -380,23 +353,28 @@ impl<'a> CEmitter<'a> {
             }
             ExprKind::Cast { expr, ty } => {
                 let v = self.expr(expr)?;
-                match native(*ty) {
-                    Some(cty) => CExpr::new(v.to(cty), cty),
-                    None => CExpr::new(
+                match types::cast(*ty) {
+                    Ty::Boxed => CExpr::new(
                         format!("lol_cast({}, {})", v.boxed(), lol_ty_enum(*ty)),
-                        CTy::Boxed,
+                        Ty::Boxed,
                     ),
+                    cty => CExpr::new(v.to(cty), cty),
                 }
             }
             ExprKind::Call { name, args } => {
                 let parts: CResult<Vec<String>> =
                     args.iter().map(|a| self.expr(a).map(CExpr::boxed)).collect();
-                CExpr::new(format!("f_{}({})", name.sym, parts?.join(", ")), CTy::Boxed)
+                CExpr::new(format!("f_{}({})", name.sym, parts?.join(", ")), Ty::Boxed)
             }
-            ExprKind::Me => CExpr::new("shmem_my_pe()", CTy::Int),
-            ExprKind::MahFrenz => CExpr::new("shmem_n_pes()", CTy::Int),
-            ExprKind::Whatevr => CExpr::new("lol_whatevr()", CTy::Int),
-            ExprKind::Whatevar => CExpr::new("lol_whatevar()", CTy::Dbl),
+            ExprKind::Me | ExprKind::MahFrenz | ExprKind::Whatevr | ExprKind::Whatevar => {
+                let c = match &e.kind {
+                    ExprKind::Me => "shmem_my_pe()",
+                    ExprKind::MahFrenz => "shmem_n_pes()",
+                    ExprKind::Whatevr => "lol_whatevr()",
+                    _ => "lol_whatevar()",
+                };
+                CExpr::new(c, types::query(&e.kind).expect("a PE query or random draw"))
+            }
         })
     }
 
@@ -408,11 +386,11 @@ impl<'a> CEmitter<'a> {
                 } else {
                     format!("{n}LL")
                 };
-                CExpr::new(c, CTy::Int)
+                CExpr::new(c, types::lit(l))
             }
-            Lit::Numbar(f) => CExpr::new(format!("{f:?}"), CTy::Dbl),
-            Lit::Troof(b) => CExpr::new((*b as i32).to_string(), CTy::Bool),
-            Lit::Noob => CExpr::new("lol_noob()", CTy::Boxed),
+            Lit::Numbar(f) => CExpr::new(format!("{f:?}"), types::lit(l)),
+            Lit::Troof(b) => CExpr::new((*b as i32).to_string(), types::lit(l)),
+            Lit::Noob => CExpr::new("lol_noob()", types::lit(l)),
             Lit::Yarn(parts) => {
                 let mut pieces = Vec::new();
                 for p in parts {
@@ -480,7 +458,7 @@ impl<'a> CEmitter<'a> {
         let name = self.named(vr)?;
         if let Some(k) = self.local(vr, name) {
             return match k {
-                CKind::Scalar { ty: CTy::Boxed, pinned: Some(ty) } => {
+                CKind::Scalar { ty: Ty::Boxed, pinned: Some(ty) } => {
                     self.line(&format!(
                         "v_{name} = lol_cast({}, {});",
                         val.boxed(),
@@ -577,7 +555,7 @@ impl<'a> CEmitter<'a> {
                 }
                 Ok(())
             }
-            StmtKind::Gimmeh(lv) => self.store_lvalue(lv, CExpr::new("lol_gimmeh()", CTy::Boxed)),
+            StmtKind::Gimmeh(lv) => self.store_lvalue(lv, CExpr::new("lol_gimmeh()", Ty::Boxed)),
             StmtKind::If(ifs) => {
                 self.line("if (lol_to_bool(v_IT))");
                 self.block(&ifs.then_block)?;
@@ -613,7 +591,7 @@ impl<'a> CEmitter<'a> {
                 LValue::Var(vr) => {
                     let name = self.named(vr)?;
                     match self.lookup(name) {
-                        Some(CKind::Scalar { ty: CTy::Boxed, .. }) => {
+                        Some(CKind::Scalar { ty: Ty::Boxed, .. }) => {
                             self.line(&format!(
                                 "v_{name} = lol_cast(v_{name}, {});",
                                 lol_ty_enum(*ty)
@@ -725,8 +703,7 @@ impl<'a> CEmitter<'a> {
                 if let Some(size) = &d.array_size {
                     let n = self.expr(size)?.int();
                     // NUMBR/NUMBAR elements are native buffers.
-                    let elem =
-                        d.ty.and_then(native).filter(|t| *t != CTy::Bool).unwrap_or(CTy::Boxed);
+                    let elem = types::local_array(d);
                     let ty = lol_ty_enum(d.ty.unwrap_or(LolType::Noob));
                     self.line(&format!(
                         "{} v_{name} = {};",
@@ -736,18 +713,16 @@ impl<'a> CEmitter<'a> {
                     self.declare(name, CKind::Array { elem });
                     return Ok(());
                 }
-                let native_ty = if d.srsly { d.ty.and_then(native) } else { None };
                 let (init, cast) = match (&d.init, d.ty) {
                     (Some(i), ty) => (self.expr(i)?, ty),
                     (None, Some(ty)) => (default_value(ty), None),
-                    (None, None) => (CExpr::new("lol_noob()", CTy::Boxed), None),
+                    (None, None) => (CExpr::new("lol_noob()", Ty::Boxed), None),
                 };
-                let (ty, init) = match (native_ty, cast) {
-                    (Some(ty), _) => (ty, init.to(ty)),
-                    (None, Some(t)) => {
-                        (CTy::Boxed, format!("lol_cast({}, {})", init.boxed(), lol_ty_enum(t)))
+                let (ty, init) = match (types::local(d), cast) {
+                    (Ty::Boxed, Some(t)) => {
+                        (Ty::Boxed, format!("lol_cast({}, {})", init.boxed(), lol_ty_enum(t)))
                     }
-                    (None, None) => (CTy::Boxed, init.boxed()),
+                    (ty, _) => (ty, init.to(ty)),
                 };
                 self.line(&format!("{} v_{name} = {init};", scalar_c_type(ty)));
                 let pinned = if d.srsly { d.ty } else { None };
@@ -893,12 +868,10 @@ impl<'a> CEmitter<'a> {
         self.line("{");
         self.indent += 1;
         self.scopes.push(HashMap::new());
-        let counter = lp.update.as_ref().map(|(dir, var)| {
-            let native = !assigns(&lp.body, var.sym);
-            (*dir, var.sym, if native { CTy::Int } else { CTy::Boxed })
-        });
+        let counter =
+            lp.update.as_ref().map(|(dir, var)| (*dir, var.sym, types::counter(&lp.body, var.sym)));
         if let Some((_, var, ty)) = counter {
-            let init = CExpr::new("0LL", CTy::Int);
+            let init = CExpr::new("0LL", Ty::Int);
             self.line(&format!("{} v_{var} = {};", scalar_c_type(ty), init.to(ty)));
             self.declare(var, CKind::Scalar { ty, pinned: None });
         }
@@ -923,7 +896,7 @@ impl<'a> CEmitter<'a> {
                 LoopDir::Uppin => BinOp::Sum,
                 LoopDir::Nerfin => BinOp::Diff,
             };
-            let next = binop(op, CExpr::new(format!("v_{var}"), ty), CExpr::new("1LL", CTy::Int));
+            let next = binop(op, CExpr::new(format!("v_{var}"), ty), CExpr::new("1LL", Ty::Int));
             self.line(&format!("v_{var} = {};", next.to(ty)));
         }
         self.indent -= 1;
@@ -937,15 +910,16 @@ impl<'a> CEmitter<'a> {
 
 // ---- typed lowering ----------------------------------------------------
 
-/// Lower a binary operator. Arithmetic over two statically numeric
-/// operands is native (NUMBR if both are NUMBR/TROOF, else NUMBAR);
-/// a boxed operand sends it through the dynamic runtime. Comparisons
-/// and logic always yield a native TROOF.
+/// Lower a binary operator at the type [`types::bin`] gives it:
+/// native arithmetic over two statically numeric operands, the dynamic
+/// runtime for a boxed one; comparisons and logic always yield a
+/// native TROOF.
 fn binop(op: BinOp, a: CExpr, b: CExpr) -> CExpr {
     use BinOp::*;
-    match op {
-        Sum | Diff | Produkt | Quoshunt | Mod | BiggrOf | SmallrOf => {
-            if a.ty == CTy::Boxed || b.ty == CTy::Boxed {
+    let ty = types::bin(op, a.ty, b.ty);
+    let c = match op {
+        Sum | Diff | Produkt | Quoshunt | Mod | BiggrOf | SmallrOf => match ty {
+            Ty::Boxed => {
                 let f = match op {
                     Sum => "lol_sum",
                     Diff => "lol_diff",
@@ -955,11 +929,11 @@ fn binop(op: BinOp, a: CExpr, b: CExpr) -> CExpr {
                     BiggrOf => "lol_biggr",
                     _ => "lol_smallr",
                 };
-                return CExpr::new(format!("{f}({}, {})", a.boxed(), b.boxed()), CTy::Boxed);
+                format!("{f}({}, {})", a.boxed(), b.boxed())
             }
-            if a.ty == CTy::Dbl || b.ty == CTy::Dbl {
+            Ty::Dbl => {
                 let (x, y) = (a.dbl(), b.dbl());
-                let c = match op {
+                match op {
                     Sum => format!("({x} + {y})"),
                     Diff => format!("({x} - {y})"),
                     Produkt => format!("({x} * {y})"),
@@ -967,37 +941,41 @@ fn binop(op: BinOp, a: CExpr, b: CExpr) -> CExpr {
                     Mod => format!("fmod({x}, {y})"),
                     BiggrOf => format!("lol_fmax({x}, {y})"),
                     _ => format!("lol_fmin({x}, {y})"),
-                };
-                return CExpr::new(c, CTy::Dbl);
+                }
             }
-            let f = match op {
-                Sum => "lol_iadd",
-                Diff => "lol_isub",
-                Produkt => "lol_imul",
-                Quoshunt => "lol_idiv",
-                Mod => "lol_imod",
-                BiggrOf => "lol_imax",
-                _ => "lol_imin",
-            };
-            CExpr::new(format!("{f}({}, {})", a.int(), b.int()), CTy::Int)
-        }
+            _ => {
+                let f = match op {
+                    Sum => "lol_iadd",
+                    Diff => "lol_isub",
+                    Produkt => "lol_imul",
+                    Quoshunt => "lol_idiv",
+                    Mod => "lol_imod",
+                    BiggrOf => "lol_imax",
+                    _ => "lol_imin",
+                };
+                format!("{f}({}, {})", a.int(), b.int())
+            }
+        },
         // Comparison is float-domain on every backend.
-        Bigger => CExpr::new(format!("({} > {})", a.dbl(), b.dbl()), CTy::Bool),
-        Smallr => CExpr::new(format!("({} < {})", a.dbl(), b.dbl()), CTy::Bool),
+        Bigger => format!("({} > {})", a.dbl(), b.dbl()),
+        Smallr => format!("({} < {})", a.dbl(), b.dbl()),
         BothSaem | Diffrint => {
-            use CTy::*;
-            let eq = match (a.ty, b.ty) {
-                (Int, Int) | (Bool, Bool) => format!("({} == {})", a.c, b.c),
-                (Int | Dbl, Int | Dbl) => format!("({} == {})", a.dbl(), b.dbl()),
-                _ => format!("lol_saem({}, {})", a.boxed(), b.boxed()),
+            let eq = match types::saem_domain(a.ty, b.ty) {
+                Some(Ty::Int | Ty::Bool) => format!("({} == {})", a.c, b.c),
+                Some(_) => format!("({} == {})", a.dbl(), b.dbl()),
+                None => format!("lol_saem({}, {})", a.boxed(), b.boxed()),
             };
-            let c = if op == Diffrint { format!("(!{eq})") } else { eq };
-            CExpr::new(c, CTy::Bool)
+            if op == Diffrint {
+                format!("(!{eq})")
+            } else {
+                eq
+            }
         }
-        BothOf => CExpr::new(format!("({} && {})", a.truth(), b.truth()), CTy::Bool),
-        EitherOf => CExpr::new(format!("({} || {})", a.truth(), b.truth()), CTy::Bool),
-        WonOf => CExpr::new(format!("({} ^ {})", a.truth(), b.truth()), CTy::Bool),
-    }
+        BothOf => format!("({} && {})", a.truth(), b.truth()),
+        EitherOf => format!("({} || {})", a.truth(), b.truth()),
+        WonOf => format!("({} ^ {})", a.truth(), b.truth()),
+    };
+    CExpr::new(c, ty)
 }
 
 /// `SMOOSH` of boxed parts (the empty YARN when there are none).
@@ -1005,70 +983,48 @@ fn smoosh(parts: impl Iterator<Item = String>) -> CExpr {
     let c = parts
         .reduce(|acc, p| format!("lol_smoosh({acc}, {p})"))
         .unwrap_or_else(|| "lol_from_str(\"\")".to_string());
-    CExpr::new(c, CTy::Boxed)
+    CExpr::new(c, Ty::Boxed)
 }
 
-/// Does `body` (at any depth) assign, read into or retype `sym`?
-fn assigns(body: &Block, sym: Symbol) -> bool {
-    struct Finder {
-        sym: Symbol,
-        hit: bool,
-    }
-    impl Visitor for Finder {
-        fn visit_lvalue(&mut self, lv: &LValue) {
-            if let LValue::Var(vr) = lv {
-                match &vr.name {
-                    VarName::Named(id) => self.hit |= id.sym == self.sym,
-                    VarName::Srs(_) => self.hit = true,
-                }
-            }
-            walk_lvalue(self, lv);
-        }
-    }
-    let mut f = Finder { sym, hit: false };
-    f.visit_block(body);
-    f.hit
-}
-
-fn scalar_c_type(ty: CTy) -> &'static str {
+fn scalar_c_type(ty: Ty) -> &'static str {
     match ty {
-        CTy::Int => "long long",
-        CTy::Dbl => "double",
-        CTy::Bool => "int",
-        CTy::Boxed => "lol_value_t",
+        Ty::Int => "long long",
+        Ty::Dbl => "double",
+        Ty::Bool => "int",
+        Ty::Boxed => "lol_value_t",
     }
 }
 
-fn arr_c_type(elem: CTy) -> &'static str {
+fn arr_c_type(elem: Ty) -> &'static str {
     match elem {
-        CTy::Int => "lol_iarr_t",
-        CTy::Dbl => "lol_darr_t",
+        Ty::Int => "lol_iarr_t",
+        Ty::Dbl => "lol_darr_t",
         _ => "lol_arr_t",
     }
 }
 
 /// The constructor call for a local array of `n_c` elements; `ty_c`
 /// is the element-type tag of a boxed array.
-fn arr_new(elem: CTy, n_c: &str, ty_c: &str) -> String {
+fn arr_new(elem: Ty, n_c: &str, ty_c: &str) -> String {
     match elem {
-        CTy::Int => format!("lol_iarr_new({n_c})"),
-        CTy::Dbl => format!("lol_darr_new({n_c})"),
+        Ty::Int => format!("lol_iarr_new({n_c})"),
+        Ty::Dbl => format!("lol_darr_new({n_c})"),
         _ => format!("lol_arr_new({n_c}, {ty_c})"),
     }
 }
 
 /// Read element `idx_c` of the local array `arr_c`.
-fn arr_get(elem: CTy, arr_c: &str, idx_c: &str) -> CExpr {
+fn arr_get(elem: Ty, arr_c: &str, idx_c: &str) -> CExpr {
     match elem {
-        CTy::Int | CTy::Dbl => CExpr::new(format!("{arr_c}.e[lol_idx({idx_c}, {arr_c}.n)]"), elem),
-        _ => CExpr::new(format!("lol_arr_get(&{arr_c}, {idx_c})"), CTy::Boxed),
+        Ty::Int | Ty::Dbl => CExpr::new(format!("{arr_c}.e[lol_idx({idx_c}, {arr_c}.n)]"), elem),
+        _ => CExpr::new(format!("lol_arr_get(&{arr_c}, {idx_c})"), Ty::Boxed),
     }
 }
 
 /// The statement storing `val` into element `idx_c` of local `arr_c`.
-fn arr_set(elem: CTy, arr_c: &str, idx_c: &str, val: CExpr) -> String {
+fn arr_set(elem: Ty, arr_c: &str, idx_c: &str, val: CExpr) -> String {
     match elem {
-        CTy::Int | CTy::Dbl => {
+        Ty::Int | Ty::Dbl => {
             format!("{arr_c}.e[lol_idx({idx_c}, {arr_c}.n)] = {};", val.to(elem))
         }
         _ => format!("lol_arr_set(&{arr_c}, {idx_c}, {});", val.boxed()),
@@ -1101,10 +1057,9 @@ fn shmem_put(ty: LolType) -> &'static str {
 
 /// A native shared cell value of type `ty` as a typed expression.
 fn cell(ty: LolType, native: &str) -> CExpr {
-    match ty {
-        LolType::Numbar => CExpr::new(native, CTy::Dbl),
-        LolType::Troof => CExpr::new(format!("({native} != 0)"), CTy::Bool),
-        _ => CExpr::new(native, CTy::Int),
+    match types::cell(ty) {
+        Ty::Bool => CExpr::new(format!("({native} != 0)"), Ty::Bool),
+        cty => CExpr::new(native, cty),
     }
 }
 
@@ -1120,11 +1075,11 @@ fn to_cell(ty: LolType, v: CExpr) -> String {
 /// The default value of a declared-but-uninitialized `ty`.
 fn default_value(ty: LolType) -> CExpr {
     match ty {
-        LolType::Noob => CExpr::new("lol_noob()", CTy::Boxed),
-        LolType::Troof => CExpr::new("0", CTy::Bool),
-        LolType::Numbr => CExpr::new("0LL", CTy::Int),
-        LolType::Numbar => CExpr::new("0.0", CTy::Dbl),
-        LolType::Yarn => CExpr::new("lol_from_str(\"\")", CTy::Boxed),
+        LolType::Noob => CExpr::new("lol_noob()", Ty::Boxed),
+        LolType::Troof => CExpr::new("0", Ty::Bool),
+        LolType::Numbr => CExpr::new("0LL", Ty::Int),
+        LolType::Numbar => CExpr::new("0.0", Ty::Dbl),
+        LolType::Yarn => CExpr::new("lol_from_str(\"\")", Ty::Boxed),
     }
 }
 
@@ -1179,7 +1134,7 @@ mod tests {
 
     #[test]
     fn wrapping_round_trip_shapes() {
-        let boxed = |c: &str| CExpr::new(c, CTy::Boxed);
+        let boxed = |c: &str| CExpr::new(c, Ty::Boxed);
         assert_eq!(cell(LolType::Numbr, "g_x").boxed(), "lol_from_int(g_x)");
         assert_eq!(to_cell(LolType::Numbar, boxed("v")), "lol_to_dbl(v)");
         assert_eq!(to_cell(LolType::Troof, boxed("v")), "(long long)lol_to_bool(v)");

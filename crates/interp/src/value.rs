@@ -72,6 +72,7 @@ impl Value {
     }
 
     /// Coerce to TROOF (always succeeds): empty/zero/NOOB are FAIL.
+    #[inline]
     pub fn to_troof(&self) -> bool {
         match self {
             Value::Noob => false,
@@ -83,6 +84,7 @@ impl Value {
     }
 
     /// Coerce to a number for arithmetic.
+    #[inline]
     pub fn to_num(&self) -> RResult<Num> {
         match self {
             Value::Noob => Err(RunError::new(
@@ -97,6 +99,7 @@ impl Value {
     }
 
     /// Explicit cast to NUMBR.
+    #[inline]
     pub fn to_numbr(&self) -> RResult<i64> {
         match self.to_num()? {
             Num::I(i) => Ok(i),
@@ -105,6 +108,7 @@ impl Value {
     }
 
     /// Explicit cast to NUMBAR.
+    #[inline]
     pub fn to_numbar(&self) -> RResult<f64> {
         Ok(self.to_num()?.as_f64())
     }
@@ -123,6 +127,7 @@ impl Value {
 
     /// `BOTH SAEM` equality: NUMBR/NUMBAR pairs compare numerically,
     /// otherwise same-type comparison; mixed types are FAIL.
+    #[inline]
     pub fn saem(&self, other: &Value) -> bool {
         use Value::*;
         match (self, other) {
@@ -171,12 +176,13 @@ fn parse_yarn_number(s: &str) -> RResult<Num> {
     }
 }
 
-/// Integer arithmetic (wrapping, like the reference C backend's
-/// two's-complement behavior; division checks for zero).
+/// NUMBR arithmetic (wrapping, like the reference C backend's
+/// two's-complement behavior; division and `MOD` check for zero). The
+/// VM's typed opcodes compute through this too.
 #[inline]
-fn arith_int(op: lol_ast::BinOp, x: i64, y: i64) -> RResult<Value> {
+pub fn arith_i64(op: lol_ast::BinOp, x: i64, y: i64) -> RResult<i64> {
     use lol_ast::BinOp::*;
-    let r = match op {
+    Ok(match op {
         Sum => x.wrapping_add(y),
         Diff => x.wrapping_sub(y),
         Produkt => x.wrapping_mul(y),
@@ -195,15 +201,16 @@ fn arith_int(op: lol_ast::BinOp, x: i64, y: i64) -> RResult<Value> {
         BiggrOf => x.max(y),
         SmallrOf => x.min(y),
         _ => unreachable!("not an arithmetic op: {op:?}"),
-    };
-    Ok(Value::Numbr(r))
+    })
 }
 
-/// Float arithmetic (IEEE — division by zero is inf/nan, not a fault).
+/// NUMBAR arithmetic (IEEE — division by zero is inf/nan, not a fault;
+/// `BIGGR OF`/`SMALLR OF` with one NaN operand yield the other). The
+/// VM's typed opcodes compute through this too.
 #[inline]
-fn arith_float(op: lol_ast::BinOp, x: f64, y: f64) -> Value {
+pub fn arith_f64(op: lol_ast::BinOp, x: f64, y: f64) -> f64 {
     use lol_ast::BinOp::*;
-    let r = match op {
+    match op {
         Sum => x + y,
         Diff => x - y,
         Produkt => x * y,
@@ -212,8 +219,17 @@ fn arith_float(op: lol_ast::BinOp, x: f64, y: f64) -> Value {
         BiggrOf => x.max(y),
         SmallrOf => x.min(y),
         _ => unreachable!("not an arithmetic op: {op:?}"),
-    };
-    Value::Numbar(r)
+    }
+}
+
+#[inline]
+fn arith_int(op: lol_ast::BinOp, x: i64, y: i64) -> RResult<Value> {
+    arith_i64(op, x, y).map(Value::Numbr)
+}
+
+#[inline]
+fn arith_float(op: lol_ast::BinOp, x: f64, y: f64) -> Value {
+    Value::Numbar(arith_f64(op, x, y))
 }
 
 /// Apply a LOLCODE arithmetic operator with promotion rules.
@@ -238,7 +254,6 @@ pub fn arith(op: lol_ast::BinOp, a: &Value, b: &Value) -> RResult<Value> {
 /// Apply a comparison operator (`BIGGER` / `SMALLR`).
 #[inline]
 pub fn compare(op: lol_ast::BinOp, a: &Value, b: &Value) -> RResult<Value> {
-    use lol_ast::BinOp::*;
     // Comparison is float-domain on every backend (the C runtime
     // compares via `lol_to_dbl` too), so NUMBRs beyond 2^53 must keep
     // rounding identically here — no integer special case.
@@ -247,12 +262,18 @@ pub fn compare(op: lol_ast::BinOp, a: &Value, b: &Value) -> RResult<Value> {
         (Value::Numbar(x), Value::Numbar(y)) => (*x, *y),
         _ => (a.to_num()?.as_f64(), b.to_num()?.as_f64()),
     };
-    let r = match op {
+    Ok(Value::Troof(compare_f64(op, x, y)))
+}
+
+/// `BIGGER`/`SMALLR` in the float domain every backend compares in.
+#[inline]
+pub fn compare_f64(op: lol_ast::BinOp, x: f64, y: f64) -> bool {
+    use lol_ast::BinOp::*;
+    match op {
         Bigger => x > y,
         Smallr => x < y,
         _ => unreachable!("not a comparison: {op:?}"),
-    };
-    Ok(Value::Troof(r))
+    }
 }
 
 /// Default value for a declared (typed) variable.
@@ -268,6 +289,7 @@ pub fn default_for(ty: lol_ast::LolType) -> Value {
 }
 
 /// Explicit cast (`MAEK`, `IS NOW A`).
+#[inline]
 pub fn cast(v: &Value, ty: lol_ast::LolType) -> RResult<Value> {
     use lol_ast::LolType;
     Ok(match ty {

@@ -11,6 +11,9 @@
 //! * a function table with arities,
 //! * a [`Features`] summary (`SRS` use, `GIMMEH` use) that lets the
 //!   compiled backends reject the dynamic-only constructs up front,
+//! * the static typing rules ([`types`]) both compiled back ends lower
+//!   by: which locals, arrays, counters and expressions are statically
+//!   NUMBR, NUMBAR or TROOF,
 //! * diagnostics: scope errors, misuse of the parallel extensions
 //!   (`UR` outside `TXT MAH BFF`, locking something nobody is sharing,
 //!   array-size mismatches), and the teaching lints the paper's target
@@ -21,6 +24,7 @@
 
 mod const_eval;
 mod layout;
+pub mod types;
 mod walk;
 
 pub use const_eval::const_eval_i64;

@@ -3,7 +3,11 @@
 //! Resolution that the tree-walker repeats on every execution happens
 //! exactly once here: variable names become frame slots, shared names
 //! become heap offsets, pinned (`ITZ SRSLY A`) types become explicit
-//! `Cast` instructions, and control flow becomes jumps. The dynamic
+//! `Cast` instructions, and control flow becomes jumps. Every
+//! expression's static type comes from the one typing analysis
+//! ([`lol_sema::types`]); where all operands are NUMBRs or NUMBARs the
+//! compiler emits typed opcodes, and a store whose static type already
+//! matches the pinned type needs no `Cast`. The dynamic
 //! constructs that cannot be resolved statically (`SRS`) are rejected
 //! with a compile error (`VMC0001`) — the documented compiled-subset
 //! restriction (docs/LANGUAGE.md, "Readings of the paper").
@@ -12,6 +16,7 @@ use crate::ops::{ArrLoc, Chunk, Module, Op};
 use lol_ast::diag::Diagnostic;
 use lol_ast::*;
 use lol_interp::Value;
+use lol_sema::types::{self, Ty};
 use lol_sema::{Analysis, SharedKind, SharedVar};
 use std::collections::HashMap;
 
@@ -34,7 +39,7 @@ pub fn compile(program: &Program, analysis: &Analysis) -> CResult<Module> {
         }
         c.leave_scope();
         c.code.push(Op::Halt);
-        module.main = Chunk { code: peephole(c.code), n_slots: c.n_slots, n_arrays: c.n_arrays };
+        module.main = c.finish();
     }
 
     // Function chunks.
@@ -42,7 +47,7 @@ pub fn compile(program: &Program, analysis: &Analysis) -> CResult<Module> {
         let mut c = FnCompiler::new(analysis, &func_ids, &mut module.consts, true);
         c.enter_scope();
         for p in &f.params {
-            let slot = c.alloc_slot(p.sym, SlotKind::Scalar { pinned: None });
+            let slot = c.alloc_slot(p.sym, BOXED);
             debug_assert!(slot >= 1);
         }
         for s in &f.body {
@@ -52,22 +57,24 @@ pub fn compile(program: &Program, analysis: &Analysis) -> CResult<Module> {
         // Fall-through returns IT.
         c.code.push(Op::LoadLocal(0));
         c.code.push(Op::Ret);
-        module.funcs.push((
-            f.name.sym.as_str().to_string(),
-            Chunk { code: peephole(c.code), n_slots: c.n_slots, n_arrays: c.n_arrays },
-            f.params.len() as u8,
-        ));
+        module.funcs.push((f.name.sym.as_str().to_string(), c.finish(), f.params.len() as u8));
     }
 
     module.shared_words = analysis.shared.total_words;
     Ok(module)
 }
 
-#[derive(Clone)]
+#[derive(Clone, Copy)]
 enum SlotKind {
-    Scalar { pinned: Option<LolType> },
-    Array,
+    /// A scalar of static type `ty`; `pinned` scalars cast every store
+    /// to their declared type.
+    Scalar { ty: Ty, pinned: Option<LolType> },
+    /// A local array whose elements have static type `elem`.
+    Array { elem: Ty },
 }
+
+/// `IT`, a parameter, or any other untyped, unpinned scalar.
+const BOXED: SlotKind = SlotKind::Scalar { ty: Ty::Boxed, pinned: None };
 
 #[derive(Clone)]
 struct LocalSlot {
@@ -81,7 +88,8 @@ struct FnCompiler<'a> {
     consts: &'a mut Vec<Value>,
     code: Vec<Op>,
     scopes: Vec<HashMap<Symbol, LocalSlot>>,
-    n_slots: u16,
+    /// Static type of each scalar slot (`slot_tys.len()` = slot count).
+    slot_tys: Vec<Ty>,
     n_arrays: u16,
     /// Jump indices to patch per open loop/switch.
     break_frames: Vec<Vec<usize>>,
@@ -101,7 +109,7 @@ impl<'a> FnCompiler<'a> {
             consts,
             code: Vec::new(),
             scopes: vec![],
-            n_slots: 1, // slot 0 = IT
+            slot_tys: vec![Ty::Boxed], // slot 0 = IT
             n_arrays: 0,
             break_frames: Vec::new(),
             in_function,
@@ -121,14 +129,25 @@ impl<'a> FnCompiler<'a> {
     /// Allocate a slot index in the space matching `kind` (scalars and
     /// arrays index disjoint per-frame tables).
     fn alloc_slot(&mut self, name: Symbol, kind: SlotKind) -> u16 {
-        let counter = match kind {
-            SlotKind::Scalar { .. } => &mut self.n_slots,
-            SlotKind::Array => &mut self.n_arrays,
+        let slot = match kind {
+            SlotKind::Scalar { ty, .. } => {
+                self.slot_tys.push(ty);
+                self.slot_tys.len() as u16 - 1
+            }
+            SlotKind::Array { .. } => {
+                self.n_arrays += 1;
+                self.n_arrays - 1
+            }
         };
-        let slot = *counter;
-        *counter += 1;
         self.scopes.last_mut().expect("scope").insert(name, LocalSlot { slot, kind });
         slot
+    }
+
+    /// The finished chunk, superinstructions fused.
+    fn finish(self) -> Chunk {
+        let n_slots = self.slot_tys.len() as u16;
+        let code = peephole(self.code, self.consts);
+        Chunk { code, n_slots, n_arrays: self.n_arrays }
     }
 
     fn lookup(&self, name: Symbol) -> Option<LocalSlot> {
@@ -137,23 +156,91 @@ impl<'a> FnCompiler<'a> {
         }
         // `IT` is implicitly slot 0 of every frame.
         if name == Symbol::it() {
-            return Some(LocalSlot { slot: 0, kind: SlotKind::Scalar { pinned: None } });
+            return Some(LocalSlot { slot: 0, kind: BOXED });
         }
         None
     }
 
-    fn konst(&mut self, v: Value) -> u16 {
-        // Linear dedup is fine at compile time for teaching programs.
-        if let Some(i) = self.consts.iter().position(|c| c == &v) {
-            return i as u16;
-        }
-        self.consts.push(v);
-        (self.consts.len() - 1) as u16
+    /// Push a constant: NUMBR and NUMBAR immediates inline, anything
+    /// else from the pool.
+    fn emit_const(&mut self, v: Value) {
+        let op = match v {
+            Value::Numbr(k) => Op::ConstI(k),
+            Value::Numbar(k) => Op::ConstD(k),
+            v => Op::Const(intern(self.consts, v)),
+        };
+        self.code.push(op);
     }
 
-    fn emit_const(&mut self, v: Value) {
-        let k = self.konst(v);
-        self.code.push(Op::Const(k));
+    /// Convert the value on top of the stack, of static type `from`, to
+    /// `ty`. No op when it already is one (a cast is then the
+    /// identity); a NUMBR or NUMBAR immediate converts at compile time.
+    fn cast_to(&mut self, from: Ty, ty: LolType) -> Ty {
+        let to = types::cast(ty);
+        if from == to && to != Ty::Boxed {
+            return to;
+        }
+        match (from, self.code.last(), to) {
+            (Ty::Int, _, Ty::Dbl) => self.widen(0),
+            (_, Some(Op::ConstD(k)), Ty::Int) => {
+                *self.code.last_mut().expect("an op") = Op::ConstI(*k as i64)
+            }
+            _ => self.code.push(Op::Cast(ty)),
+        }
+        to
+    }
+
+    /// Widen the NUMBR `depth` values below the top to a NUMBAR.
+    fn widen(&mut self, depth: u8) {
+        match self.code.last() {
+            Some(Op::ConstI(k)) if depth == 0 => {
+                *self.code.last_mut().expect("an op") = Op::ConstD(*k as f64)
+            }
+            _ => self.code.push(Op::IToD(depth)),
+        }
+    }
+
+    /// Emit binary operator `op` on operands of static types `a` (below)
+    /// and `b` (top): typed when both are numbers, on `Value`s
+    /// otherwise. Returns the result type.
+    fn bin(&mut self, op: BinOp, a: Ty, b: Ty) -> Ty {
+        let domain = match op {
+            BinOp::BothSaem | BinOp::Diffrint => types::saem_domain(a, b).filter(|t| t.is_number()),
+            _ if a.is_number() && b.is_number() => Some(if a == b { a } else { Ty::Dbl }),
+            _ => None,
+        };
+        match domain {
+            Some(Ty::Int) => self.code.push(Op::BinI(op)),
+            Some(_) => {
+                if a == Ty::Int {
+                    self.widen(1);
+                }
+                if b == Ty::Int {
+                    self.widen(0);
+                }
+                self.code.push(Op::BinD(op));
+            }
+            None => self.code.push(Op::Bin(op)),
+        }
+        types::bin(op, a, b)
+    }
+
+    /// Pop a value of static type `from` into scalar `slot` of type
+    /// `ty`, cast to its `pinned` type.
+    fn store_slot(&mut self, slot: u16, ty: Ty, pinned: Option<LolType>, from: Ty) {
+        let native = match ty {
+            Ty::Int => Some(LolType::Numbr),
+            Ty::Dbl => Some(LolType::Numbar),
+            _ => None,
+        };
+        if let Some(p) = pinned.or(native) {
+            self.cast_to(from, p);
+        }
+        self.code.push(match ty {
+            Ty::Int => Op::StoreI(slot),
+            Ty::Dbl => Op::StoreD(slot),
+            _ => Op::StoreLocal(slot),
+        });
     }
 
     fn here(&self) -> usize {
@@ -198,7 +285,7 @@ impl<'a> FnCompiler<'a> {
         let name = self.named(vr)?;
         if vr.locality != Locality::Ur {
             if let Some(ls) = self.lookup(name) {
-                return Ok(matches!(ls.kind, SlotKind::Array));
+                return Ok(matches!(ls.kind, SlotKind::Array { .. }));
             }
         }
         Ok(self.shared(name).map(|sv| matches!(sv.kind, SharedKind::Array { .. })).unwrap_or(false))
@@ -208,7 +295,7 @@ impl<'a> FnCompiler<'a> {
         let name = self.named(vr)?;
         if vr.locality != Locality::Ur {
             if let Some(ls) = self.lookup(name) {
-                if matches!(ls.kind, SlotKind::Array) {
+                if matches!(ls.kind, SlotKind::Array { .. }) {
                     return Ok(ArrLoc::Local { arr: ls.slot });
                 }
             }
@@ -229,8 +316,10 @@ impl<'a> FnCompiler<'a> {
 
     // -- expressions ---------------------------------------------------
 
-    fn expr(&mut self, e: &Expr) -> CResult<()> {
-        match &e.kind {
+    /// Compile `e`, leaving its value on the stack; returns its static
+    /// type.
+    fn expr(&mut self, e: &Expr) -> CResult<Ty> {
+        Ok(match &e.kind {
             ExprKind::Lit(l) => self.literal(l, e.span)?,
             ExprKind::Var(vr) => self.var_read(vr)?,
             ExprKind::Index { arr, idx } => {
@@ -238,10 +327,14 @@ impl<'a> FnCompiler<'a> {
                 if arr.locality != Locality::Ur {
                     if let Some(ls) = self.lookup(name) {
                         match ls.kind {
-                            SlotKind::Array => {
-                                self.expr(idx)?;
-                                self.code.push(Op::LocalArrLoad { arr: ls.slot });
-                                return Ok(());
+                            SlotKind::Array { elem } => {
+                                let arr = ls.slot;
+                                let op = match self.expr(idx)? {
+                                    Ty::Int => Op::LocalArrLoadI { arr },
+                                    _ => Op::LocalArrLoad { arr },
+                                };
+                                self.code.push(op);
+                                return Ok(elem);
                             }
                             SlotKind::Scalar { .. } => {
                                 return Err(self.err(
@@ -259,22 +352,34 @@ impl<'a> FnCompiler<'a> {
                 let SharedKind::Array { len } = sv.kind else {
                     return Err(self.err("VMC0002", format!("{name} IZ A SCALAR"), arr.span));
                 };
-                self.expr(idx)?;
-                self.code.push(Op::SharedLoadIdx {
-                    off: sv.addr,
-                    len: len as u32,
-                    ty: sv.ty,
-                    remote: arr.locality == Locality::Ur,
-                });
+                let (off, len, ty) = (sv.addr, len as u32, sv.ty);
+                let remote = arr.locality == Locality::Ur;
+                let op = match self.expr(idx)? {
+                    Ty::Int => Op::SharedLoadIdxI { off, len, ty, remote },
+                    _ => Op::SharedLoadIdx { off, len, ty, remote },
+                };
+                self.code.push(op);
+                types::cell(ty)
             }
             ExprKind::Bin { op, lhs, rhs } => {
-                self.expr(lhs)?;
-                self.expr(rhs)?;
-                self.code.push(Op::Bin(*op));
+                let a = self.expr(lhs)?;
+                let b = self.expr(rhs)?;
+                self.bin(*op, a, b)
             }
             ExprKind::Un { op, expr } => {
-                self.expr(expr)?;
-                self.code.push(Op::Un(*op));
+                let t = self.expr(expr)?;
+                match (op, t) {
+                    (UnOp::Not, _) | (_, Ty::Bool | Ty::Boxed) | (UnOp::Squar, Ty::Int) => {
+                        self.code.push(Op::Un(*op))
+                    }
+                    (_, t) => {
+                        if t == Ty::Int {
+                            self.widen(0);
+                        }
+                        self.code.push(Op::UnD(*op));
+                    }
+                }
+                types::un(*op, t)
             }
             ExprKind::Nary { op, args } => {
                 for a in args {
@@ -286,10 +391,11 @@ impl<'a> FnCompiler<'a> {
                     NaryOp::AnyOf => Op::AnyOf(n),
                     NaryOp::Smoosh => Op::Smoosh(n),
                 });
+                types::nary(*op)
             }
             ExprKind::Cast { expr, ty } => {
-                self.expr(expr)?;
-                self.code.push(Op::Cast(*ty));
+                let t = self.expr(expr)?;
+                self.cast_to(t, *ty)
             }
             ExprKind::Call { name, args } => {
                 let Some(&func) = self.func_ids.get(&name.sym) else {
@@ -303,16 +409,21 @@ impl<'a> FnCompiler<'a> {
                     self.expr(a)?;
                 }
                 self.code.push(Op::Call { func, argc: args.len() as u8 });
+                Ty::Boxed
             }
-            ExprKind::Me => self.code.push(Op::Me),
-            ExprKind::MahFrenz => self.code.push(Op::MahFrenz),
-            ExprKind::Whatevr => self.code.push(Op::RandI),
-            ExprKind::Whatevar => self.code.push(Op::RandF),
-        }
-        Ok(())
+            kind @ (ExprKind::Me | ExprKind::MahFrenz | ExprKind::Whatevr | ExprKind::Whatevar) => {
+                self.code.push(match kind {
+                    ExprKind::Me => Op::Me,
+                    ExprKind::MahFrenz => Op::MahFrenz,
+                    ExprKind::Whatevr => Op::RandI,
+                    _ => Op::RandF,
+                });
+                types::query(kind).expect("a PE query or random draw")
+            }
+        })
     }
 
-    fn literal(&mut self, l: &Lit, span: Span) -> CResult<()> {
+    fn literal(&mut self, l: &Lit, span: Span) -> CResult<Ty> {
         match l {
             Lit::Numbr(n) => self.emit_const(Value::Numbr(*n)),
             Lit::Numbar(f) => self.emit_const(Value::Numbar(*f)),
@@ -350,20 +461,20 @@ impl<'a> FnCompiler<'a> {
                     self.code.push(Op::Smoosh(n));
                 }
             }
-        }
-        Ok(())
+        };
+        Ok(types::lit(l))
     }
 
-    fn var_read(&mut self, vr: &VarRef) -> CResult<()> {
+    fn var_read(&mut self, vr: &VarRef) -> CResult<Ty> {
         let name = self.named(vr)?;
         if vr.locality != Locality::Ur {
             if let Some(ls) = self.lookup(name) {
                 return match ls.kind {
-                    SlotKind::Scalar { .. } => {
+                    SlotKind::Scalar { ty, .. } => {
                         self.code.push(Op::LoadLocal(ls.slot));
-                        Ok(())
+                        Ok(ty)
                     }
-                    SlotKind::Array => Err(self.err(
+                    SlotKind::Array { .. } => Err(self.err(
                         "VMC0004",
                         format!("{name} IZ A WHOLE ARRAY, NOT A VALUE"),
                         vr.span,
@@ -381,7 +492,7 @@ impl<'a> FnCompiler<'a> {
                     ty: sv.ty,
                     remote: vr.locality == Locality::Ur,
                 });
-                Ok(())
+                Ok(types::cell(sv.ty))
             }
             SharedKind::Array { .. } => {
                 Err(self.err("VMC0004", format!("{name} IZ A WHOLE ARRAY, NOT A VALUE"), vr.span))
@@ -389,20 +500,18 @@ impl<'a> FnCompiler<'a> {
         }
     }
 
-    /// Store the value on top of the stack into a scalar variable.
-    fn var_store(&mut self, vr: &VarRef) -> CResult<()> {
+    /// Store the value on top of the stack, of static type `from`,
+    /// into a scalar variable.
+    fn var_store(&mut self, vr: &VarRef, from: Ty) -> CResult<()> {
         let name = self.named(vr)?;
         if vr.locality != Locality::Ur {
             if let Some(ls) = self.lookup(name) {
                 return match ls.kind {
-                    SlotKind::Scalar { pinned } => {
-                        if let Some(ty) = pinned {
-                            self.code.push(Op::Cast(ty));
-                        }
-                        self.code.push(Op::StoreLocal(ls.slot));
+                    SlotKind::Scalar { ty, pinned } => {
+                        self.store_slot(ls.slot, ty, pinned, from);
                         Ok(())
                     }
-                    SlotKind::Array => Err(self.err(
+                    SlotKind::Array { .. } => Err(self.err(
                         "VMC0004",
                         format!("{name} IZ A WHOLE ARRAY — ASSIGN ELEMENTS"),
                         vr.span,
@@ -432,17 +541,25 @@ impl<'a> FnCompiler<'a> {
 
     /// Store stack-top into an lvalue. For indexed stores the compiler
     /// pushes value first, then the index.
-    fn store_lvalue(&mut self, lv: &LValue) -> CResult<()> {
+    fn store_lvalue(&mut self, lv: &LValue, from: Ty) -> CResult<()> {
         match lv {
-            LValue::Var(vr) => self.var_store(vr),
+            LValue::Var(vr) => self.var_store(vr, from),
             LValue::Index { arr, idx, .. } => {
                 let name = self.named(arr)?;
-                self.expr(idx)?;
+                // Typed when the index is a NUMBR and the value already
+                // has the element type (so the store's cast is a no-op).
+                let it = self.expr(idx)?;
+                let typed = |elem: Ty| it == Ty::Int && from == elem && elem.is_number();
                 if arr.locality != Locality::Ur {
                     if let Some(ls) = self.lookup(name) {
                         return match ls.kind {
-                            SlotKind::Array => {
-                                self.code.push(Op::LocalArrStore { arr: ls.slot });
+                            SlotKind::Array { elem } => {
+                                let arr = ls.slot;
+                                self.code.push(match elem {
+                                    Ty::Int if typed(elem) => Op::LocalArrStoreI { arr },
+                                    Ty::Dbl if typed(elem) => Op::LocalArrStoreD { arr },
+                                    _ => Op::LocalArrStore { arr },
+                                });
                                 Ok(())
                             }
                             SlotKind::Scalar { .. } => Err(self.err(
@@ -459,11 +576,12 @@ impl<'a> FnCompiler<'a> {
                 let SharedKind::Array { len } = sv.kind else {
                     return Err(self.err("VMC0002", format!("{name} IZ A SCALAR"), arr.span));
                 };
-                self.code.push(Op::SharedStoreIdx {
-                    off: sv.addr,
-                    len: len as u32,
-                    ty: sv.ty,
-                    remote: arr.locality == Locality::Ur,
+                let (off, len, ty) = (sv.addr, len as u32, sv.ty);
+                let remote = arr.locality == Locality::Ur;
+                self.code.push(if typed(types::cell(ty)) {
+                    Op::SharedStoreIdxT { off, len, ty, remote }
+                } else {
+                    Op::SharedStoreIdx { off, len, ty, remote }
                 });
                 Ok(())
             }
@@ -499,7 +617,7 @@ impl<'a> FnCompiler<'a> {
             }
             StmtKind::Gimmeh(lv) => {
                 self.code.push(Op::ReadLine);
-                self.store_lvalue(lv)
+                self.store_lvalue(lv, Ty::Boxed)
             }
             StmtKind::If(ifs) => self.if_stmt(ifs),
             StmtKind::Switch(sw) => self.switch(sw),
@@ -533,7 +651,9 @@ impl<'a> FnCompiler<'a> {
                 LValue::Var(vr) => {
                     let name = self.named(vr)?;
                     match self.lookup(name) {
-                        Some(LocalSlot { slot, kind: SlotKind::Scalar { .. } }) => {
+                        // Sema rejects `IS NOW A` on a `SRSLY` local
+                        // (`SEM0024`); a counter its body retypes is boxed.
+                        Some(LocalSlot { slot, kind: SlotKind::Scalar { ty: Ty::Boxed, .. } }) => {
                             self.code.push(Op::LoadLocal(slot));
                             self.code.push(Op::Cast(*ty));
                             self.code.push(Op::StoreLocal(slot));
@@ -627,16 +747,19 @@ impl<'a> FnCompiler<'a> {
             DeclScope::I => {
                 if let Some(size) = &d.array_size {
                     self.expr(size)?;
-                    let arr = self.alloc_slot(d.name.sym, SlotKind::Array);
+                    let elem = types::local_array(d);
+                    let arr = self.alloc_slot(d.name.sym, SlotKind::Array { elem });
                     self.code.push(Op::LocalArrNew { arr, ty: d.ty.unwrap_or(LolType::Noob) });
                     Ok(())
                 } else {
                     match (&d.init, d.ty) {
                         (Some(init), Some(ty)) => {
-                            self.expr(init)?;
-                            self.code.push(Op::Cast(ty));
+                            let t = self.expr(init)?;
+                            self.cast_to(t, ty);
                         }
-                        (Some(init), None) => self.expr(init)?,
+                        (Some(init), None) => {
+                            self.expr(init)?;
+                        }
                         (None, Some(ty)) => {
                             let v = lol_interp::value::default_for(ty);
                             self.emit_const(v);
@@ -644,7 +767,10 @@ impl<'a> FnCompiler<'a> {
                         (None, None) => self.emit_const(Value::Noob),
                     }
                     let pinned = if d.srsly { d.ty } else { None };
-                    let slot = self.alloc_slot(d.name.sym, SlotKind::Scalar { pinned });
+                    let kind = SlotKind::Scalar { ty: types::local(d), pinned };
+                    let slot = self.alloc_slot(d.name.sym, kind);
+                    // The first store of a declaration initializes the
+                    // slot (`Noob` until now), so it is a plain store.
                     self.code.push(Op::StoreLocal(slot));
                     Ok(())
                 }
@@ -681,8 +807,8 @@ impl<'a> FnCompiler<'a> {
                 ));
             }
         }
-        self.expr(value)?;
-        self.store_lvalue(target)
+        let t = self.expr(value)?;
+        self.store_lvalue(target, t)
     }
 
     fn if_stmt(&mut self, ifs: &IfStmt) -> CResult<()> {
@@ -745,10 +871,11 @@ impl<'a> FnCompiler<'a> {
         self.enter_scope();
         let update_slot = match &lp.update {
             Some((_, var)) => {
-                let slot = self.alloc_slot(var.sym, SlotKind::Scalar { pinned: None });
+                let ty = types::counter(&lp.body, var.sym);
+                let slot = self.alloc_slot(var.sym, SlotKind::Scalar { ty, pinned: None });
                 self.emit_const(Value::Numbr(0));
                 self.code.push(Op::StoreLocal(slot));
-                Some(slot)
+                Some((slot, ty))
             }
             None => None,
         };
@@ -765,14 +892,15 @@ impl<'a> FnCompiler<'a> {
         for st in &lp.body {
             self.stmt(st)?;
         }
-        if let (Some(slot), Some((dir, _))) = (update_slot, &lp.update) {
+        if let (Some((slot, ty)), Some((dir, _))) = (update_slot, &lp.update) {
             self.code.push(Op::LoadLocal(slot));
             self.emit_const(Value::Numbr(1));
-            self.code.push(Op::Bin(match dir {
+            let op = match dir {
                 LoopDir::Uppin => BinOp::Sum,
                 LoopDir::Nerfin => BinOp::Diff,
-            }));
-            self.code.push(Op::StoreLocal(slot));
+            };
+            let next = self.bin(op, ty, Ty::Int);
+            self.store_slot(slot, ty, None, next);
         }
         self.code.push(Op::Jump(start));
         if let Some(g) = guard_exit {
@@ -785,6 +913,37 @@ impl<'a> FnCompiler<'a> {
         self.leave_scope();
         Ok(())
     }
+}
+
+/// Intern `v` in the constant pool. Linear dedup is fine at compile
+/// time for teaching programs.
+fn intern(consts: &mut Vec<Value>, v: Value) -> u16 {
+    if let Some(i) = consts.iter().position(|c| c == &v) {
+        return i as u16;
+    }
+    consts.push(v);
+    (consts.len() - 1) as u16
+}
+
+/// Is `op` a constant push (pooled or immediate)?
+fn is_const(op: &Op) -> bool {
+    matches!(op, Op::Const(_) | Op::ConstI(_) | Op::ConstD(_))
+}
+
+/// The pool index of constant push `op`, interning an immediate: the
+/// `Value`-path superinstructions read their constant from the pool.
+fn pooled(op: &Op, consts: &mut Vec<Value>) -> u16 {
+    match op {
+        Op::Const(k) => *k,
+        Op::ConstI(k) => intern(consts, Value::Numbr(*k)),
+        Op::ConstD(k) => intern(consts, Value::Numbar(*k)),
+        other => unreachable!("not a constant push: {other:?}"),
+    }
+}
+
+/// Is `op` a comparison (its result a TROOF)?
+fn is_cmp(op: BinOp) -> bool {
+    matches!(op, BinOp::Bigger | BinOp::Smallr | BinOp::BothSaem | BinOp::Diffrint)
 }
 
 /// Fuse common instruction idioms into superinstructions.
@@ -801,7 +960,10 @@ impl<'a> FnCompiler<'a> {
 /// Each superinstruction performs the identical value operations (same
 /// errors, in the same order) as the sequence it replaces, so fused
 /// and unfused code are byte-identical in output, stats, and traces.
-fn peephole(code: Vec<Op>) -> Vec<Op> {
+/// Typed windows fuse into typed superinstructions; a typed operator
+/// whose result goes to a boxed slot fuses into the `Value` form, which
+/// computes the same result on the same variants.
+fn peephole(code: Vec<Op>, consts: &mut Vec<Value>) -> Vec<Op> {
     let n = code.len();
     let mut is_target = vec![false; n + 1];
     for op in &code {
@@ -818,49 +980,156 @@ fn peephole(code: Vec<Op>) -> Vec<Op> {
     let mut i = 0;
     while i < n {
         map[i] = out.len() as u32;
+        // A jump to the next instruction (the end of a `YA RLY` with no
+        // `NO WAI`) is dropped; jumps to it land on its successor.
+        if code[i] == Op::Jump(i as u32 + 1) {
+            i += 1;
+            continue;
+        }
         // No interior instruction of the window [i, i+len) is a target.
         let free = |len: usize| !is_target[i + 1..i + len].iter().any(|&b| b);
         let fused: Option<(Op, usize)> = match &code[i..] {
             // Counted-loop guards (both the TIL and WILE DIFFRINT
             // shapes reduce to "jump out when var SAEMs the bound"),
             // with constant or variable bounds.
-            [Op::LoadLocal(s), Op::Const(k), Op::Bin(BinOp::BothSaem), Op::Un(UnOp::Not), Op::JumpIfFalse(t), ..]
+            [Op::LoadLocal(s), Op::ConstI(k), Op::BinI(BinOp::BothSaem), Op::Un(UnOp::Not), Op::JumpIfFalse(t), ..]
                 if free(5) =>
             {
-                Some((Op::JumpIfLocalEqConst { slot: *s, k: *k, target: *t }, 5))
+                Some((Op::JumpIfIEqConst { slot: *s, k: *k, target: *t }, 5))
             }
-            [Op::LoadLocal(a), Op::LoadLocal(b), Op::Bin(BinOp::BothSaem), Op::Un(UnOp::Not), Op::JumpIfFalse(t), ..]
+            [Op::LoadLocal(a), Op::LoadLocal(b), Op::BinI(BinOp::BothSaem), Op::Un(UnOp::Not), Op::JumpIfFalse(t), ..]
+                if free(5) =>
+            {
+                Some((Op::JumpIfIEqLocal { a: *a, b: *b, target: *t }, 5))
+            }
+            [Op::LoadLocal(s), Op::ConstI(k), Op::BinI(BinOp::Diffrint), Op::JumpIfFalse(t), ..]
+                if free(4) =>
+            {
+                Some((Op::JumpIfIEqConst { slot: *s, k: *k, target: *t }, 4))
+            }
+            [Op::LoadLocal(a), Op::LoadLocal(b), Op::BinI(BinOp::Diffrint), Op::JumpIfFalse(t), ..]
+                if free(4) =>
+            {
+                Some((Op::JumpIfIEqLocal { a: *a, b: *b, target: *t }, 4))
+            }
+            [Op::LoadLocal(s), c, Op::Bin(BinOp::BothSaem) | Op::BinD(BinOp::BothSaem), Op::Un(UnOp::Not), Op::JumpIfFalse(t), ..]
+                if is_const(c) && free(5) =>
+            {
+                Some((Op::JumpIfLocalEqConst { slot: *s, k: pooled(c, consts), target: *t }, 5))
+            }
+            [Op::LoadLocal(a), Op::LoadLocal(b), Op::Bin(BinOp::BothSaem) | Op::BinD(BinOp::BothSaem), Op::Un(UnOp::Not), Op::JumpIfFalse(t), ..]
                 if free(5) =>
             {
                 Some((Op::JumpIfLocalEqLocal { a: *a, b: *b, target: *t }, 5))
             }
-            [Op::LoadLocal(s), Op::Const(k), Op::Bin(BinOp::Diffrint), Op::JumpIfFalse(t), ..]
-                if free(4) =>
+            [Op::LoadLocal(s), c, Op::Bin(BinOp::Diffrint) | Op::BinD(BinOp::Diffrint), Op::JumpIfFalse(t), ..]
+                if is_const(c) && free(4) =>
             {
-                Some((Op::JumpIfLocalEqConst { slot: *s, k: *k, target: *t }, 4))
+                Some((Op::JumpIfLocalEqConst { slot: *s, k: pooled(c, consts), target: *t }, 4))
             }
-            [Op::LoadLocal(a), Op::LoadLocal(b), Op::Bin(BinOp::Diffrint), Op::JumpIfFalse(t), ..]
+            [Op::LoadLocal(a), Op::LoadLocal(b), Op::Bin(BinOp::Diffrint) | Op::BinD(BinOp::Diffrint), Op::JumpIfFalse(t), ..]
                 if free(4) =>
             {
                 Some((Op::JumpIfLocalEqLocal { a: *a, b: *b, target: *t }, 4))
             }
-            // Compute-and-store: reductions (`acc R SUM OF acc AN x`)
-            // and loop increments / index arithmetic.
-            [Op::LoadLocal(a), Op::LoadLocal(b), Op::Bin(op), Op::StoreLocal(d), ..] if free(4) => {
+            // `BOTH SAEM a AN b, O RLY?`: set IT, branch on it.
+            [Op::LoadLocal(a), Op::LoadLocal(b), Op::BinI(op), Op::StoreLocal(0), Op::LoadLocal(0), Op::JumpIfFalse(t), ..]
+                if is_cmp(*op) && free(6) =>
+            {
+                Some((Op::IfILL { op: *op, a: *a, b: *b, target: *t }, 6))
+            }
+            [Op::LoadLocal(a), Op::ConstI(k), Op::BinI(op), Op::StoreLocal(0), Op::LoadLocal(0), Op::JumpIfFalse(t), ..]
+                if is_cmp(*op) && free(6) =>
+            {
+                Some((Op::IfILC { op: *op, a: *a, k: *k, target: *t }, 6))
+            }
+            // Typed compute-and-store: reductions, increments, index
+            // arithmetic over NUMBR/NUMBAR slots.
+            [Op::LoadLocal(a), Op::LoadLocal(b), Op::BinI(op), Op::StoreI(d), ..] if free(4) => {
+                Some((Op::BinILLS { op: *op, a: *a, b: *b, dst: *d }, 4))
+            }
+            [Op::LoadLocal(a), Op::LoadLocal(b), Op::BinD(op), Op::StoreD(d), ..] if free(4) => {
+                Some((Op::BinDLLS { op: *op, a: *a, b: *b, dst: *d }, 4))
+            }
+            [Op::LoadLocal(a), Op::ConstI(k), Op::BinI(op), Op::StoreI(d), ..] if free(4) => {
+                Some((Op::BinILCS { op: *op, a: *a, k: *k, dst: *d }, 4))
+            }
+            [Op::LoadLocal(a), Op::ConstD(k), Op::BinD(op), Op::StoreD(d), ..] if free(4) => {
+                Some((Op::BinDLCS { op: *op, a: *a, k: *k, dst: *d }, 4))
+            }
+            // Compute-and-store into a boxed slot: reductions
+            // (`acc R SUM OF acc AN x`) and loop increments / index
+            // arithmetic.
+            [Op::LoadLocal(a), Op::LoadLocal(b), Op::Bin(op) | Op::BinI(op) | Op::BinD(op), Op::StoreLocal(d), ..]
+                if free(4) =>
+            {
                 Some((Op::BinLLS { op: *op, a: *a, b: *b, dst: *d }, 4))
             }
-            [Op::LoadLocal(a), Op::Const(k), Op::Bin(op), Op::StoreLocal(d), ..] if free(4) => {
-                Some((Op::BinLCS { op: *op, a: *a, k: *k, dst: *d }, 4))
+            [Op::LoadLocal(a), c, Op::Bin(op) | Op::BinI(op) | Op::BinD(op), Op::StoreLocal(d), ..]
+                if is_const(c) && free(4) =>
+            {
+                Some((Op::BinLCS { op: *op, a: *a, k: pooled(c, consts), dst: *d }, 4))
+            }
+            [Op::LoadLocal(a), Op::LoadLocal(b), Op::BinI(op), ..] if free(3) => {
+                Some((Op::BinILL { op: *op, a: *a, b: *b }, 3))
+            }
+            [Op::LoadLocal(a), Op::LoadLocal(b), Op::BinD(op), ..] if free(3) => {
+                Some((Op::BinDLL { op: *op, a: *a, b: *b }, 3))
+            }
+            [Op::LoadLocal(a), Op::ConstI(k), Op::BinI(op), ..] if free(3) => {
+                Some((Op::BinILC { op: *op, a: *a, k: *k }, 3))
+            }
+            [Op::LoadLocal(a), Op::ConstD(k), Op::BinD(op), ..] if free(3) => {
+                Some((Op::BinDLC { op: *op, a: *a, k: *k }, 3))
             }
             [Op::LoadLocal(a), Op::LoadLocal(b), Op::Bin(op), ..] if free(3) => {
                 Some((Op::BinLL { op: *op, a: *a, b: *b }, 3))
             }
-            [Op::LoadLocal(a), Op::Const(k), Op::Bin(op), ..] if free(3) => {
-                Some((Op::BinLC { op: *op, a: *a, k: *k }, 3))
+            [Op::LoadLocal(a), c, Op::Bin(op), ..] if is_const(c) && free(3) => {
+                Some((Op::BinLC { op: *op, a: *a, k: pooled(c, consts) }, 3))
+            }
+            [Op::BinI(op), Op::StoreI(d), ..] if free(2) => {
+                Some((Op::BinIS { op: *op, dst: *d }, 2))
+            }
+            [Op::BinD(op), Op::StoreD(d), ..] if free(2) => {
+                Some((Op::BinDS { op: *op, dst: *d }, 2))
             }
             // Array / symmetric-heap accesses indexed by a variable.
             [Op::LoadLocal(idx), Op::LocalArrLoad { arr }, ..] if free(2) => {
                 Some((Op::LocalArrLoadL { arr: *arr, idx: *idx }, 2))
+            }
+            [Op::LoadLocal(idx), Op::LocalArrLoadI { arr }, ..] if free(2) => {
+                Some((Op::LocalArrLoadIL { arr: *arr, idx: *idx }, 2))
+            }
+            [Op::LoadLocal(idx), Op::SharedLoadIdxI { off, len, ty, remote }, ..] if free(2) => {
+                Some((
+                    Op::SharedLoadIdxIL {
+                        off: *off,
+                        len: *len,
+                        ty: *ty,
+                        remote: *remote,
+                        idx: *idx,
+                    },
+                    2,
+                ))
+            }
+            [Op::LoadLocal(idx), Op::LocalArrStoreI { arr }, ..] if free(2) => {
+                Some((Op::LocalArrStoreIL { arr: *arr, idx: *idx }, 2))
+            }
+            [Op::LoadLocal(idx), Op::LocalArrStoreD { arr }, ..] if free(2) => {
+                Some((Op::LocalArrStoreDL { arr: *arr, idx: *idx }, 2))
+            }
+            [Op::LoadLocal(idx), Op::SharedStoreIdxT { off, len, ty, remote }, ..] if free(2) => {
+                Some((
+                    Op::SharedStoreIdxTL {
+                        off: *off,
+                        len: *len,
+                        ty: *ty,
+                        remote: *remote,
+                        idx: *idx,
+                    },
+                    2,
+                ))
             }
             [Op::LoadLocal(idx), Op::LocalArrStore { arr }, ..] if free(2) => {
                 Some((Op::LocalArrStoreL { arr: *arr, idx: *idx }, 2))
@@ -896,9 +1165,11 @@ fn peephole(code: Vec<Op>) -> Vec<Op> {
             [Op::LoadLocal(b), Op::Bin(op), ..] if free(2) => {
                 Some((Op::BinSL { op: *op, b: *b }, 2))
             }
-            [Op::Const(k), Op::Bin(op), ..] if free(2) => Some((Op::BinSC { op: *op, k: *k }, 2)),
-            // Stores to pinned (`ITZ SRSLY A`) variables.
-            [Op::Cast(ty), Op::StoreLocal(s), ..] if free(2) => {
+            [c, Op::Bin(op), ..] if is_const(c) && free(2) => {
+                Some((Op::BinSC { op: *op, k: pooled(c, consts) }, 2))
+            }
+            // Casting stores to pinned (`ITZ SRSLY A`) variables.
+            [Op::Cast(ty), Op::StoreLocal(s) | Op::StoreI(s) | Op::StoreD(s), ..] if free(2) => {
                 Some((Op::CastStore { ty: *ty, slot: *s }, 2))
             }
             _ => None,
@@ -925,7 +1196,11 @@ fn peephole(code: Vec<Op>) -> Vec<Op> {
             | Op::JumpIfFalse(t)
             | Op::JumpIfLocalEqConst { target: t, .. }
             | Op::JumpIfLocalEqLocal { target: t, .. }
-            | Op::JumpIfLocalFalse { target: t, .. } => {
+            | Op::JumpIfLocalFalse { target: t, .. }
+            | Op::JumpIfIEqConst { target: t, .. }
+            | Op::JumpIfIEqLocal { target: t, .. }
+            | Op::IfILL { target: t, .. }
+            | Op::IfILC { target: t, .. } => {
                 *t = map[*t as usize];
             }
             _ => {}

@@ -356,6 +356,144 @@ mod tests {
         differential(4, &src);
     }
 
+    // -----------------------------------------------------------------
+    // Typed opcodes: every corner against the interpreter
+    // -----------------------------------------------------------------
+
+    /// Does any chunk of `src`'s module hold an op matching `pred`?
+    fn emits(src: &str, pred: impl Fn(&Op) -> bool) -> bool {
+        let (p, a) = build(src);
+        let m = compile(&p, &a).unwrap();
+        m.main.code.iter().chain(m.funcs.iter().flat_map(|f| &f.1.code)).any(pred)
+    }
+
+    fn is_typed(op: &Op) -> bool {
+        let name = Op::profile_name(op.profile_index());
+        matches!(op, Op::ConstI(_) | Op::ConstD(_) | Op::IToD(_) | Op::StoreI(_) | Op::StoreD(_))
+            || name.contains("BinI")
+            || name.contains("BinD")
+            || name.starts_with("UnD")
+            || name.contains("IEq")
+            || name.starts_with("IfI")
+    }
+
+    /// Both engines fail, with the same stable code.
+    fn both_fail_with(src: &str, code: &str) {
+        let (p, a) = build(src);
+        let m = compile(&p, &a).unwrap();
+        let vm = run_parallel(&m, cfg(1)).expect_err("vm should fail");
+        let interp = interp_parallel(&p, &a, cfg(1)).expect_err("interp should fail");
+        assert!(vm.message.contains(code), "vm: {vm}");
+        assert!(interp.message.contains(code), "interp: {interp}");
+    }
+
+    const TYPED_DECLS: &str =
+        "I HAS A n ITZ SRSLY A NUMBR AN ITZ DIFF OF -9223372036854775807 AN 1\n\
+        I HAS A m ITZ SRSLY A NUMBR AN ITZ -1\n\
+        I HAS A z ITZ SRSLY A NUMBR\n\
+        I HAS A f ITZ SRSLY A NUMBAR AN ITZ -2.75\n\
+        I HAS A g ITZ SRSLY A NUMBAR\n";
+
+    #[test]
+    fn typed_numbr_wraps_at_the_rim() {
+        let src = prog(&format!(
+            "{TYPED_DECLS}VISIBLE QUOSHUNT OF n AN m\nVISIBLE MOD OF n AN m\n\
+             VISIBLE SUM OF n AN m\nVISIBLE PRODUKT OF n AN m\n\
+             z R DIFF OF n AN 1\nVISIBLE z\nz R PRODUKT OF n AN n\nVISIBLE z"
+        ));
+        assert!(emits(&src, |op| matches!(op, Op::BinILL { op: lol_ast::BinOp::Quoshunt, .. })));
+        differential(1, &src);
+        assert_eq!(
+            vm1(&src),
+            "-9223372036854775808\n0\n9223372036854775807\n-9223372036854775808\n\
+             9223372036854775807\n0\n"
+        );
+    }
+
+    #[test]
+    fn typed_division_and_mod_by_zero_fault() {
+        for expr in ["QUOSHUNT OF m AN z", "MOD OF m AN z", "QUOSHUNT OF 1 AN z", "MOD OF n AN 0"] {
+            let src = prog(&format!("{TYPED_DECLS}z R {expr}\nVISIBLE z"));
+            assert!(emits(&src, is_typed), "{expr} should run typed");
+            both_fail_with(&src, "RUN0001");
+        }
+    }
+
+    #[test]
+    fn typed_numbar_follows_ieee_and_nan_min_max() {
+        let src = prog(&format!(
+            "{TYPED_DECLS}I HAS A nan ITZ SRSLY A NUMBAR AN ITZ UNSQUAR OF f\n\
+             I HAS A inf ITZ SRSLY A NUMBAR AN ITZ QUOSHUNT OF 1.0 AN g\n\
+             VISIBLE nan \" \" inf \" \" DIFF OF g AN inf \" \" PRODUKT OF inf AN g\n\
+             VISIBLE BIGGR OF nan AN f \" \" SMALLR OF f AN nan \" \" BIGGR OF inf AN nan\n\
+             VISIBLE SMALLR OF nan AN nan \" \" MOD OF f AN g \" \" FLIP OF g\n\
+             VISIBLE BOTH SAEM nan AN nan \" \" DIFFRINT nan AN nan \" \" BIGGER inf AN nan\n\
+             VISIBLE SQUAR OF f \" \" SUM OF f AN 3 \" \" BOTH SAEM 3 AN SUM OF g AN 3"
+        ));
+        assert!(emits(&src, |op| matches!(op, Op::BinDLL { op: lol_ast::BinOp::BiggrOf, .. })));
+        differential(1, &src);
+        assert_eq!(
+            vm1(&src),
+            "nan inf -inf nan\n-2.75 -2.75 inf\nnan nan inf\nFAIL WIN FAIL\n7.56 0.25 WIN\n"
+        );
+    }
+
+    #[test]
+    fn typed_pinned_store_truncates_numbar_to_numbr() {
+        let src = prog(&format!(
+            "{TYPED_DECLS}z R f\nVISIBLE z\nz R 3.9\nVISIBLE z\n\
+             z R UNSQUAR OF f\nVISIBLE z\nz R QUOSHUNT OF 1.0 AN g\nVISIBLE z\n\
+             g R z\nVISIBLE g"
+        ));
+        differential(1, &src);
+        assert_eq!(vm1(&src), "-2\n3\n0\n9223372036854775807\n9223372036854775808.00\n");
+    }
+
+    #[test]
+    fn counter_assigned_by_its_body_stays_on_the_value_path() {
+        let own = "IM IN YR l UPPIN YR i TIL BIGGER i AN 5\nVISIBLE i\ni R SUM OF i AN 0.5\nIM OUTTA YR l";
+        let src = prog(own);
+        // Only the counter is in play: no typed op may touch it.
+        assert!(!emits(&src, |op| is_typed(op) && !matches!(op, Op::ConstI(_))), "{own}");
+        differential(1, &src);
+        assert_eq!(vm1(&src), "0\n1.50\n3.00\n4.50\n");
+        // The same loop without the assignment runs typed.
+        let plain = prog("IM IN YR l UPPIN YR i TIL BIGGER i AN 5\nVISIBLE i\nIM OUTTA YR l");
+        assert!(emits(&plain, |op| matches!(op, Op::BinILCS { .. })));
+        differential(1, &plain);
+    }
+
+    #[test]
+    fn it_is_written_by_typed_comparisons() {
+        let src = prog(&format!(
+            "{TYPED_DECLS}BOTH SAEM m AN -1, O RLY?\nYA RLY\nVISIBLE IT\nNO WAI\nVISIBLE \"NO\"\nOIC\n\
+             VISIBLE IT\nDIFFRINT m AN z, O RLY?\nYA RLY\nVISIBLE IT\nOIC\n\
+             BIGGER f AN g, O RLY?\nYA RLY\nVISIBLE \"NO\"\nNO WAI\nVISIBLE IT\nOIC\n\
+             SUM OF m AN 1\nVISIBLE IT"
+        ));
+        assert!(emits(&src, |op| matches!(op, Op::IfILC { .. })));
+        differential(1, &src);
+        assert_eq!(vm1(&src), "WIN\nWIN\nWIN\nFAIL\n0\n");
+    }
+
+    #[test]
+    fn typed_arrays_and_shared_cells_match_the_interpreter() {
+        let src = prog(
+            "WE HAS A s ITZ SRSLY LOTZ A NUMBARS AN THAR IZ 4\n\
+             WE HAS A c ITZ SRSLY A NUMBR\n\
+             I HAS A a ITZ SRSLY LOTZ A NUMBRS AN THAR IZ 4\n\
+             I HAS A d ITZ SRSLY LOTZ A NUMBARS AN THAR IZ 4\n\
+             IM IN YR l UPPIN YR i TIL BOTH SAEM i AN 4\n\
+             a'Z i R PRODUKT OF i AN SUM OF ME AN 3\nd'Z i R QUOSHUNT OF a'Z i AN 4\n\
+             s'Z SUM OF 0 AN i R SUM OF d'Z i AN 0.5\nc R SUM OF c AN a'Z i\n\
+             IM OUTTA YR l\nHUGZ\n\
+             VISIBLE a'Z 3 \" \" d'Z 3 \" \" s'Z 3 \" \" c \" \" s'Z DIFF OF c AN c",
+        );
+        assert!(emits(&src, |op| matches!(op, Op::LocalArrStoreIL { .. })));
+        assert!(emits(&src, |op| matches!(op, Op::SharedStoreIdxT { .. })));
+        differential(3, &src);
+    }
+
     #[test]
     fn module_structure_is_reasonable() {
         let (p, a) = build(&prog("VISIBLE \"x\"\nHUGZ"));
@@ -376,7 +514,7 @@ mod tests {
     fn malformed_modules() -> Vec<(&'static str, Module)> {
         use lol_ast::BinOp;
         let with_main = |code: Vec<Op>| Module {
-            main: Chunk { code, n_slots: 1, n_arrays: 0 },
+            main: Chunk { code, n_slots: 1, n_arrays: 1 },
             ..Default::default()
         };
         vec![
@@ -386,6 +524,35 @@ mod tests {
             ("const index out of range", with_main(vec![Op::Const(3), Op::Halt])),
             ("call of missing funkshun", with_main(vec![Op::Call { func: 0, argc: 0 }, Op::Halt])),
             ("ret with empty stack", with_main(vec![Op::Ret])),
+            // Typed ops meeting a variant the typing analysis ruled out.
+            (
+                "typed store into a NOOB slot",
+                with_main(vec![Op::ConstI(1), Op::StoreI(0), Op::Halt]),
+            ),
+            (
+                "NUMBAR store of a NUMBR",
+                with_main(vec![Op::ConstD(0.5), Op::StoreLocal(0), Op::ConstI(1), Op::StoreD(0)]),
+            ),
+            (
+                "typed add of a NUMBAR",
+                with_main(vec![Op::ConstI(1), Op::ConstD(2.0), Op::BinI(BinOp::Sum), Op::Halt]),
+            ),
+            (
+                "typed guard on a NOOB slot",
+                with_main(vec![Op::JumpIfIEqConst { slot: 0, k: 0, target: 0 }, Op::Halt]),
+            ),
+            ("widening a NUMBAR", with_main(vec![Op::ConstD(1.0), Op::IToD(0), Op::Halt])),
+            (
+                "typed index of a NUMBAR",
+                with_main(vec![
+                    Op::ConstI(3),
+                    Op::LocalArrNew { arr: 0, ty: lol_ast::LolType::Numbar },
+                    Op::ConstD(1.0),
+                    Op::ConstD(1.0),
+                    Op::LocalArrStoreD { arr: 0 },
+                    Op::Halt,
+                ]),
+            ),
         ]
     }
 
@@ -435,9 +602,13 @@ mod tests {
 
     #[test]
     fn consts_are_deduped() {
-        let (p, a) = build(&prog("VISIBLE 7\nVISIBLE 7\nVISIBLE 7"));
+        // NUMBR/NUMBAR literals are inline immediates; everything else
+        // shares one pool entry per distinct value.
+        let (p, a) = build(&prog("VISIBLE \"7\"\nVISIBLE \"7\"\nVISIBLE \"7\"\nVISIBLE 7"));
         let m = compile(&p, &a).unwrap();
-        let sevens = m.consts.iter().filter(|v| **v == lol_interp::Value::Numbr(7)).count();
+        let sevens = m.consts.iter().filter(|v| **v == lol_interp::Value::yarn("7")).count();
         assert_eq!(sevens, 1);
+        assert!(m.main.code.contains(&Op::ConstI(7)), "NUMBR literals are immediates");
+        assert!(!m.consts.contains(&lol_interp::Value::Numbr(7)));
     }
 }

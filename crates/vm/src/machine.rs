@@ -34,8 +34,14 @@
 //! compiler's loop-guard, pinned-store and stencil idioms into single
 //! dispatches.
 //!
+//! Typed opcodes read every operand through one tag-checked accessor
+//! ([`typed`]) and write typed slots in place ([`typed_mut`]), so a
+//! NUMBR/NUMBAR step is native arithmetic with no coercion, no boxed
+//! `Result<Value, _>` and no drop glue.
+//!
 //! Internal invariant violations (operand-stack underflow, slot or
-//! constant indices out of range — only reachable with a malformed
+//! constant indices out of range, a typed op meeting a variant the
+//! typing analysis ruled out — only reachable with a malformed
 //! [`Module`], i.e. a compiler bug) surface as the stable `RUN0192`
 //! error code through the normal [`RResult`] channel instead of a
 //! panic, so a bad module produces a structured `O NOES!` diagnostic
@@ -49,8 +55,10 @@
 
 use crate::ops::{ArrLoc, Chunk, Module, Op};
 use crate::profile::VmProfile;
-use lol_ast::LolType;
-use lol_interp::value::{arith, cast, compare, default_for, RResult, RunError, Value};
+use lol_ast::{BinOp, LolType, UnOp};
+use lol_interp::value::{
+    arith, arith_f64, arith_i64, cast, compare, compare_f64, default_for, RResult, RunError, Value,
+};
 use lol_shmem::substrate::{Progress, Substrate};
 use lol_shmem::SymAddr;
 use std::collections::VecDeque;
@@ -238,8 +246,8 @@ impl<'a> Machine<'a> {
                         *slot_mut(frame, *s)? = v;
                     }
                     Op::Cast(ty) => {
-                        let v = pop(stack)?;
-                        stack.push(cast(&v, *ty)?);
+                        let v = top(stack)?;
+                        *v = cast(v, *ty)?;
                     }
                     Op::Pop => {
                         pop(stack)?;
@@ -251,23 +259,21 @@ impl<'a> Machine<'a> {
                     }
                     Op::SharedStore { off, ty, remote } => {
                         let t = target(bff, sub, *remote)?;
-                        let v = pop(stack)?;
-                        shared_write(base, sub, *off, 0, *ty, t, &v)?;
+                        pop_with(stack, |v| shared_write(base, sub, *off, 0, *ty, t, v))?;
                     }
                     Op::SharedLoadIdx { off, len, ty, remote } => {
                         let t = target(bff, sub, *remote)?;
-                        let i = bounds(pop(stack)?.to_numbr()?, *len)?;
+                        let i = bounds(pop_with(stack, Value::to_numbr)?, *len)?;
                         let v = shared_read(base, sub, *off, i, *ty, t);
                         stack.push(v);
                     }
                     Op::SharedStoreIdx { off, len, ty, remote } => {
                         let t = target(bff, sub, *remote)?;
-                        let i = bounds(pop(stack)?.to_numbr()?, *len)?;
-                        let v = pop(stack)?;
-                        shared_write(base, sub, *off, i, *ty, t, &v)?;
+                        let i = bounds(pop_with(stack, Value::to_numbr)?, *len)?;
+                        pop_with(stack, |v| shared_write(base, sub, *off, i, *ty, t, v))?;
                     }
                     Op::LocalArrNew { arr, ty } => {
-                        let n = pop(stack)?.to_numbr()?;
+                        let n = pop_with(stack, Value::to_numbr)?;
                         if n <= 0 {
                             return Err(RunError::new(
                                 "RUN0014",
@@ -281,30 +287,69 @@ impl<'a> Machine<'a> {
                             Some(LocalArr { elems: vec![default_for(*ty); n as usize], ty: *ty });
                     }
                     Op::LocalArrLoad { arr: a } => {
-                        let i = pop(stack)?.to_numbr()?;
-                        let la = arr(frame, *a)?;
-                        let i = bounds(i, la.elems.len() as u32)?;
-                        let v = la.elems[i].clone();
+                        let i = pop_with(stack, Value::to_numbr)?;
+                        let v = arr_load(frame, *a, i)?;
                         stack.push(v);
                     }
                     Op::LocalArrStore { arr: a } => {
-                        let i = pop(stack)?.to_numbr()?;
-                        let v = pop(stack)?;
-                        let la = arr_mut(frame, *a)?;
-                        let i = bounds(i, la.elems.len() as u32)?;
-                        la.elems[i] = cast(&v, la.ty)?;
+                        let i = pop_with(stack, Value::to_numbr)?;
+                        pop_with(stack, |v| arr_store(frame, *a, i, v))?;
                     }
                     Op::ArrayCopy { dst, src } => array_copy(frame, sub, base, bff, dst, src)?,
                     Op::Bin(op) => {
-                        let b = pop(stack)?;
-                        let a = pop(stack)?;
-                        let r = binop(*op, &a, &b)?;
-                        stack.push(r);
+                        let at = stack_base(stack, 2)?;
+                        let r = binop(*op, &stack[at], &stack[at + 1])?;
+                        stack.truncate(at + 1);
+                        stack[at] = r;
                     }
                     Op::Un(op) => {
-                        let v = pop(stack)?;
-                        let r = unop(*op, &v)?;
-                        stack.push(r);
+                        let v = top(stack)?;
+                        *v = unop(*op, v)?;
+                    }
+                    Op::ConstI(k) => stack.push(Value::Numbr(*k)),
+                    Op::ConstD(k) => stack.push(Value::Numbar(*k)),
+                    Op::BinI(op) => bin_stack::<i64>(stack, *op)?,
+                    Op::BinD(op) => bin_stack::<f64>(stack, *op)?,
+                    Op::UnD(op) => {
+                        let v = top(stack)?;
+                        *v = un_d(*op, typed(v)?);
+                    }
+                    Op::IToD(depth) => {
+                        let at = stack.len().checked_sub(1 + *depth as usize);
+                        let v = &mut stack[at.ok_or_else(|| vmbug("OPERAND STACK UNDERFLOW"))?];
+                        *v = Value::Numbar(typed::<i64>(v)? as f64);
+                    }
+                    Op::StoreI(s) => {
+                        let x = pop_typed::<i64>(stack)?;
+                        *typed_mut::<i64>(slot_mut(frame, *s)?)? = x;
+                    }
+                    Op::StoreD(s) => {
+                        let x = pop_typed::<f64>(stack)?;
+                        *typed_mut::<f64>(slot_mut(frame, *s)?)? = x;
+                    }
+                    Op::SharedLoadIdxI { off, len, ty, remote } => {
+                        let t = target(bff, sub, *remote)?;
+                        let i = bounds(pop_typed::<i64>(stack)?, *len)?;
+                        let v = shared_read(base, sub, *off, i, *ty, t);
+                        stack.push(v);
+                    }
+                    Op::SharedStoreIdxT { off, len, ty, remote } => {
+                        let t = target(bff, sub, *remote)?;
+                        let i = bounds(pop_typed::<i64>(stack)?, *len)?;
+                        pop_with(stack, |v| shared_write_t(base, sub, *off, i, *ty, t, v))?;
+                    }
+                    Op::LocalArrLoadI { arr: a } => {
+                        let i = pop_typed::<i64>(stack)?;
+                        let v = arr_load(frame, *a, i)?;
+                        stack.push(v);
+                    }
+                    Op::LocalArrStoreI { arr: a } => {
+                        let i = pop_typed::<i64>(stack)?;
+                        arr_store_t::<i64>(frame, stack, *a, i)?;
+                    }
+                    Op::LocalArrStoreD { arr: a } => {
+                        let i = pop_typed::<i64>(stack)?;
+                        arr_store_t::<f64>(frame, stack, *a, i)?;
                     }
                     Op::BinLL { op, a, b } => {
                         let r = binop(*op, slot(frame, *a)?, slot(frame, *b)?)?;
@@ -315,14 +360,12 @@ impl<'a> Machine<'a> {
                         stack.push(r);
                     }
                     Op::BinSL { op, b } => {
-                        let va = pop(stack)?;
-                        let r = binop(*op, &va, slot(frame, *b)?)?;
-                        stack.push(r);
+                        let va = top(stack)?;
+                        *va = binop(*op, va, slot(frame, *b)?)?;
                     }
                     Op::BinSC { op, k } => {
-                        let va = pop(stack)?;
-                        let r = binop(*op, &va, konst(module, *k)?)?;
-                        stack.push(r);
+                        let va = top(stack)?;
+                        *va = binop(*op, va, konst(module, *k)?)?;
                     }
                     Op::BinLLS { op, a, b, dst } => {
                         let r = binop(*op, slot(frame, *a)?, slot(frame, *b)?)?;
@@ -333,8 +376,7 @@ impl<'a> Machine<'a> {
                         *slot_mut(frame, *dst)? = r;
                     }
                     Op::CastStore { ty, slot: s } => {
-                        let v = pop(stack)?;
-                        let c = cast(&v, *ty)?;
+                        let c = pop_with(stack, |v| cast(v, *ty))?;
                         *slot_mut(frame, *s)? = c;
                     }
                     Op::JumpIfLocalEqConst { slot: s, k, target } => {
@@ -353,18 +395,12 @@ impl<'a> Machine<'a> {
                         }
                     }
                     Op::LocalArrLoadL { arr: a, idx } => {
-                        let i = slot(frame, *idx)?.to_numbr()?;
-                        let la = arr(frame, *a)?;
-                        let i = bounds(i, la.elems.len() as u32)?;
-                        let v = la.elems[i].clone();
+                        let v = arr_load(frame, *a, slot(frame, *idx)?.to_numbr()?)?;
                         stack.push(v);
                     }
                     Op::LocalArrStoreL { arr: a, idx } => {
                         let i = slot(frame, *idx)?.to_numbr()?;
-                        let v = pop(stack)?;
-                        let la = arr_mut(frame, *a)?;
-                        let i = bounds(i, la.elems.len() as u32)?;
-                        la.elems[i] = cast(&v, la.ty)?;
+                        pop_with(stack, |v| arr_store(frame, *a, i, v))?;
                     }
                     Op::SharedLoadIdxL { off, len, ty, remote, idx } => {
                         let t = target(bff, sub, *remote)?;
@@ -375,8 +411,96 @@ impl<'a> Machine<'a> {
                     Op::SharedStoreIdxL { off, len, ty, remote, idx } => {
                         let t = target(bff, sub, *remote)?;
                         let i = bounds(slot(frame, *idx)?.to_numbr()?, *len)?;
-                        let v = pop(stack)?;
-                        shared_write(base, sub, *off, i, *ty, t, &v)?;
+                        pop_with(stack, |v| shared_write(base, sub, *off, i, *ty, t, v))?;
+                    }
+                    Op::LocalArrLoadIL { arr: a, idx } => {
+                        let v = arr_load(frame, *a, local(frame, *idx)?)?;
+                        stack.push(v);
+                    }
+                    Op::SharedLoadIdxIL { off, len, ty, remote, idx } => {
+                        let t = target(bff, sub, *remote)?;
+                        let i = bounds(local(frame, *idx)?, *len)?;
+                        let v = shared_read(base, sub, *off, i, *ty, t);
+                        stack.push(v);
+                    }
+                    Op::LocalArrStoreIL { arr: a, idx } => {
+                        let i = local::<i64>(frame, *idx)?;
+                        arr_store_t::<i64>(frame, stack, *a, i)?;
+                    }
+                    Op::LocalArrStoreDL { arr: a, idx } => {
+                        let i = local::<i64>(frame, *idx)?;
+                        arr_store_t::<f64>(frame, stack, *a, i)?;
+                    }
+                    Op::SharedStoreIdxTL { off, len, ty, remote, idx } => {
+                        let t = target(bff, sub, *remote)?;
+                        let i = bounds(local::<i64>(frame, *idx)?, *len)?;
+                        pop_with(stack, |v| shared_write_t(base, sub, *off, i, *ty, t, v))?;
+                    }
+                    Op::BinILL { op, a, b } => {
+                        let r = bin_t::<i64>(*op, local(frame, *a)?, local(frame, *b)?)?;
+                        stack.push(r);
+                    }
+                    Op::BinDLL { op, a, b } => {
+                        let r = bin_t::<f64>(*op, local(frame, *a)?, local(frame, *b)?)?;
+                        stack.push(r);
+                    }
+                    Op::BinILC { op, a, k } => {
+                        let r = bin_t::<i64>(*op, local(frame, *a)?, *k)?;
+                        stack.push(r);
+                    }
+                    Op::BinDLC { op, a, k } => {
+                        let r = bin_t::<f64>(*op, local(frame, *a)?, *k)?;
+                        stack.push(r);
+                    }
+                    Op::BinILLS { op, a, b, dst } => {
+                        let r = i64::arith(*op, local(frame, *a)?, local(frame, *b)?)?;
+                        *typed_mut::<i64>(slot_mut(frame, *dst)?)? = r;
+                    }
+                    Op::BinDLLS { op, a, b, dst } => {
+                        let r = f64::arith(*op, local(frame, *a)?, local(frame, *b)?)?;
+                        *typed_mut::<f64>(slot_mut(frame, *dst)?)? = r;
+                    }
+                    Op::BinILCS { op, a, k, dst } => {
+                        let r = i64::arith(*op, local(frame, *a)?, *k)?;
+                        *typed_mut::<i64>(slot_mut(frame, *dst)?)? = r;
+                    }
+                    Op::BinDLCS { op, a, k, dst } => {
+                        let r = f64::arith(*op, local(frame, *a)?, *k)?;
+                        *typed_mut::<f64>(slot_mut(frame, *dst)?)? = r;
+                    }
+                    Op::BinIS { op, dst } => {
+                        let y = pop_typed::<i64>(stack)?;
+                        let x = pop_typed::<i64>(stack)?;
+                        *typed_mut::<i64>(slot_mut(frame, *dst)?)? = i64::arith(*op, x, y)?;
+                    }
+                    Op::BinDS { op, dst } => {
+                        let y = pop_typed::<f64>(stack)?;
+                        let x = pop_typed::<f64>(stack)?;
+                        *typed_mut::<f64>(slot_mut(frame, *dst)?)? = f64::arith(*op, x, y)?;
+                    }
+                    Op::JumpIfIEqConst { slot: s, k, target } => {
+                        if local::<i64>(frame, *s)? == *k {
+                            pc = *target as usize;
+                        }
+                    }
+                    Op::JumpIfIEqLocal { a, b, target } => {
+                        if local::<i64>(frame, *a)? == local::<i64>(frame, *b)? {
+                            pc = *target as usize;
+                        }
+                    }
+                    Op::IfILL { op, a, b, target } => {
+                        let r = cmp_t::<i64>(*op, local(frame, *a)?, local(frame, *b)?)?;
+                        *slot_mut(frame, 0)? = Value::Troof(r);
+                        if !r {
+                            pc = *target as usize;
+                        }
+                    }
+                    Op::IfILC { op, a, k, target } => {
+                        let r = cmp_t::<i64>(*op, local(frame, *a)?, *k)?;
+                        *slot_mut(frame, 0)? = Value::Troof(r);
+                        if !r {
+                            pc = *target as usize;
+                        }
                     }
                     Op::Smoosh(n) => {
                         let at = stack_base(stack, *n)?;
@@ -401,8 +525,7 @@ impl<'a> Machine<'a> {
                     }
                     Op::Jump(t) => pc = *t as usize,
                     Op::JumpIfFalse(t) => {
-                        let v = pop(stack)?;
-                        if !v.to_troof() {
+                        if !pop_with(stack, |v| Ok(v.to_troof()))? {
                             pc = *t as usize;
                         }
                     }
@@ -475,7 +598,7 @@ impl<'a> Machine<'a> {
                         sub.unlock(base.offset(*off as usize), t);
                     }
                     Op::PushBff => {
-                        let k = pop(stack)?.to_numbr()?;
+                        let k = pop_with(stack, Value::to_numbr)?;
                         if k < 0 || k as usize >= sub.n_pes() {
                             return Err(RunError::new(
                                 "RUN0017",
@@ -527,6 +650,22 @@ fn pop(stack: &mut Vec<Value>) -> RResult<Value> {
     stack.pop().ok_or_else(|| vmbug("OPERAND STACK UNDERFLOW"))
 }
 
+/// The top of the stack, to replace in place.
+#[inline]
+fn top(stack: &mut [Value]) -> RResult<&mut Value> {
+    stack.last_mut().ok_or_else(|| vmbug("OPERAND STACK UNDERFLOW"))
+}
+
+/// Pop the top value through `f`, which reads it where it lies; the
+/// slot is then dropped in place rather than moved out.
+#[inline(always)]
+fn pop_with<R>(stack: &mut Vec<Value>, f: impl FnOnce(&Value) -> RResult<R>) -> RResult<R> {
+    let n = stack.len();
+    let r = f(stack.last().ok_or_else(|| vmbug("OPERAND STACK UNDERFLOW"))?)?;
+    stack.truncate(n - 1);
+    Ok(r)
+}
+
 /// Start index of the top `n` stack values (for n-ary ops).
 #[inline]
 fn stack_base(stack: &[Value], n: u8) -> RResult<usize> {
@@ -546,6 +685,170 @@ fn slot_mut(frame: &mut Frame, s: u16) -> RResult<&mut Value> {
 #[inline]
 fn konst(module: &Module, k: u16) -> RResult<&Value> {
     module.consts.get(k as usize).ok_or_else(|| vmbug("CONSTANT INDEX OUT OF RANGE"))
+}
+
+/// A NUMBR or NUMBAR the typed opcodes read and write unboxed.
+trait Prim: Copy + PartialEq {
+    /// The number inside `v`, if `v` is this type's variant.
+    fn get(v: &Value) -> Option<Self>;
+    /// The number inside `v`, in place, if `v` is this type's variant.
+    fn get_mut(v: &mut Value) -> Option<&mut Self>;
+    fn boxed(self) -> Value;
+    fn as_f64(self) -> f64;
+    /// [`Value::to_troof`] of the boxed value.
+    fn truthy(self) -> bool;
+    /// An arithmetic operator, exactly as [`arith`] computes it on two
+    /// values of this variant.
+    fn arith(op: BinOp, x: Self, y: Self) -> RResult<Self>;
+}
+
+impl Prim for i64 {
+    #[inline(always)]
+    fn get(v: &Value) -> Option<i64> {
+        match v {
+            Value::Numbr(x) => Some(*x),
+            _ => None,
+        }
+    }
+    #[inline(always)]
+    fn get_mut(v: &mut Value) -> Option<&mut i64> {
+        match v {
+            Value::Numbr(x) => Some(x),
+            _ => None,
+        }
+    }
+    #[inline(always)]
+    fn boxed(self) -> Value {
+        Value::Numbr(self)
+    }
+    #[inline(always)]
+    fn as_f64(self) -> f64 {
+        self as f64
+    }
+    #[inline(always)]
+    fn truthy(self) -> bool {
+        self != 0
+    }
+    #[inline(always)]
+    fn arith(op: BinOp, x: i64, y: i64) -> RResult<i64> {
+        if !is_arith(op) {
+            return Err(vmbug("TYPED STORE OF A NON-ARITHMETIC RESULT"));
+        }
+        arith_i64(op, x, y)
+    }
+}
+
+impl Prim for f64 {
+    #[inline(always)]
+    fn get(v: &Value) -> Option<f64> {
+        match v {
+            Value::Numbar(x) => Some(*x),
+            _ => None,
+        }
+    }
+    #[inline(always)]
+    fn get_mut(v: &mut Value) -> Option<&mut f64> {
+        match v {
+            Value::Numbar(x) => Some(x),
+            _ => None,
+        }
+    }
+    #[inline(always)]
+    fn boxed(self) -> Value {
+        Value::Numbar(self)
+    }
+    #[inline(always)]
+    fn as_f64(self) -> f64 {
+        self
+    }
+    #[inline(always)]
+    fn truthy(self) -> bool {
+        self != 0.0
+    }
+    #[inline(always)]
+    fn arith(op: BinOp, x: f64, y: f64) -> RResult<f64> {
+        if !is_arith(op) {
+            return Err(vmbug("TYPED STORE OF A NON-ARITHMETIC RESULT"));
+        }
+        Ok(arith_f64(op, x, y))
+    }
+}
+
+#[inline(always)]
+fn is_arith(op: BinOp) -> bool {
+    use BinOp::*;
+    matches!(op, Sum | Diff | Produkt | Quoshunt | Mod | BiggrOf | SmallrOf)
+}
+
+/// The one tag-checked read of a statically typed value. A variant the
+/// typing analysis ruled out is a compiler bug (`RUN0192`), never a
+/// coercion — so an analysis bug cannot turn into wrong output.
+#[inline(always)]
+fn typed<T: Prim>(v: &Value) -> RResult<T> {
+    T::get(v).ok_or_else(|| vmbug("TYPED OP MET A VALUE OF ANOTHER TYPE"))
+}
+
+/// The in-place counterpart of [`typed`], for typed stores: the slot
+/// already holds the variant, so only its number changes (no drop).
+#[inline(always)]
+fn typed_mut<T: Prim>(v: &mut Value) -> RResult<&mut T> {
+    T::get_mut(v).ok_or_else(|| vmbug("TYPED STORE INTO A SLOT OF ANOTHER TYPE"))
+}
+
+#[inline(always)]
+fn local<T: Prim>(frame: &Frame, s: u16) -> RResult<T> {
+    typed(slot(frame, s)?)
+}
+
+#[inline(always)]
+fn pop_typed<T: Prim>(stack: &mut Vec<Value>) -> RResult<T> {
+    pop_with(stack, typed)
+}
+
+/// A binary operator on two typed operands, exactly as [`binop`]
+/// computes it on their boxed values.
+#[inline(always)]
+fn bin_t<T: Prim>(op: BinOp, x: T, y: T) -> RResult<Value> {
+    use BinOp::*;
+    Ok(match op {
+        Sum | Diff | Produkt | Quoshunt | Mod | BiggrOf | SmallrOf => T::arith(op, x, y)?.boxed(),
+        _ => Value::Troof(cmp_t(op, x, y)?),
+    })
+}
+
+/// A comparison or logic operator on two typed operands.
+#[inline(always)]
+fn cmp_t<T: Prim>(op: BinOp, x: T, y: T) -> RResult<bool> {
+    use BinOp::*;
+    Ok(match op {
+        Bigger | Smallr => compare_f64(op, x.as_f64(), y.as_f64()),
+        BothSaem => x == y,
+        Diffrint => x != y,
+        BothOf => x.truthy() && y.truthy(),
+        EitherOf => x.truthy() || y.truthy(),
+        WonOf => x.truthy() ^ y.truthy(),
+        _ => return Err(vmbug("ARITHMETIC WHERE A TROOF WAS EXPECTED")),
+    })
+}
+
+/// A typed binary operator on the top two stack values, in place.
+#[inline(always)]
+fn bin_stack<T: Prim>(stack: &mut Vec<Value>, op: BinOp) -> RResult<()> {
+    let y = pop_typed::<T>(stack)?;
+    let v = top(stack)?;
+    *v = bin_t(op, typed(v)?, y)?;
+    Ok(())
+}
+
+/// A unary operator on a NUMBAR, exactly as [`unop`] computes it.
+#[inline(always)]
+fn un_d(op: UnOp, x: f64) -> Value {
+    match op {
+        UnOp::Not => Value::Troof(!x.truthy()),
+        UnOp::Squar => Value::Numbar(arith_f64(BinOp::Produkt, x, x)),
+        UnOp::Unsquar => Value::Numbar(x.sqrt()),
+        UnOp::Flip => Value::Numbar(1.0 / x),
+    }
 }
 
 fn arr(frame: &Frame, a: u16) -> RResult<&LocalArr> {
@@ -607,6 +910,53 @@ fn shared_write<S: Substrate + ?Sized>(
         LolType::Troof => sub.put_u64(addr, target, v.to_troof() as u64),
         _ => sub.put_i64(addr, target, v.to_numbr()?),
     }
+    Ok(())
+}
+
+/// Element `i` of local array `a`.
+#[inline(always)]
+fn arr_load(frame: &Frame, a: u16, i: i64) -> RResult<Value> {
+    let la = arr(frame, a)?;
+    Ok(la.elems[bounds(i, la.elems.len() as u32)?].clone())
+}
+
+/// Store `v` into element `i` of local array `a`, cast to its type.
+#[inline(always)]
+fn arr_store(frame: &mut Frame, a: u16, i: i64, v: &Value) -> RResult<()> {
+    let la = arr_mut(frame, a)?;
+    let i = bounds(i, la.elems.len() as u32)?;
+    la.elems[i] = cast(v, la.ty)?;
+    Ok(())
+}
+
+/// [`shared_write`] of a value already of the cell's NUMBR/NUMBAR type.
+#[inline(always)]
+fn shared_write_t<S: Substrate + ?Sized>(
+    base: SymAddr,
+    sub: &S,
+    off: u32,
+    index: usize,
+    ty: LolType,
+    target: usize,
+    v: &Value,
+) -> RResult<()> {
+    let addr = base.offset(off as usize + index);
+    match ty {
+        LolType::Numbar => sub.put_f64(addr, target, typed(v)?),
+        LolType::Troof => return Err(vmbug("TYPED STORE INTO A TROOF CELL")),
+        _ => sub.put_i64(addr, target, typed(v)?),
+    }
+    Ok(())
+}
+
+/// Pop a value of the array's own NUMBR/NUMBAR type into element `i`
+/// of local array `a`, in place.
+#[inline(always)]
+fn arr_store_t<T: Prim>(frame: &mut Frame, stack: &mut Vec<Value>, a: u16, i: i64) -> RResult<()> {
+    let x = pop_typed::<T>(stack)?;
+    let la = arr_mut(frame, a)?;
+    let i = bounds(i, la.elems.len() as u32)?;
+    *typed_mut::<T>(&mut la.elems[i])? = x;
     Ok(())
 }
 

@@ -6,6 +6,13 @@
 //! and length — everything the semantic analysis could pin down ahead
 //! of time, which is exactly where the speedup over the tree-walker
 //! comes from.
+//!
+//! Typed opcodes (`ConstI`, `BinI`, `StoreD`, `BinDLLS`, …) run where
+//! the typing analysis ([`lol_sema::types`]) proves every operand a
+//! NUMBR (`I`) or a NUMBAR (`D`): they read the `i64`/`f64` straight
+//! out of the value through one tag-checked accessor and compute
+//! without any coercion. Slots stay one `Value` file per frame; a typed
+//! store overwrites the number inside its slot's variant in place.
 
 use lol_ast::{BinOp, LolType, UnOp};
 use lol_interp::Value;
@@ -85,6 +92,54 @@ pub enum Op {
     Bin(BinOp),
     /// Unary operator on the top value.
     Un(UnOp),
+
+    // Typed ops: every operand is statically a NUMBR (`I`) or a NUMBAR
+    // (`D`). Each computes exactly what its `Value` counterpart does on
+    // those variants, and fails with `RUN0192` on any other.
+    /// Push a NUMBR immediate.
+    ConstI(i64),
+    /// Push a NUMBAR immediate.
+    ConstD(f64),
+    /// Binary operator on two NUMBRs (lhs below rhs).
+    BinI(BinOp),
+    /// Binary operator on two NUMBARs (lhs below rhs).
+    BinD(BinOp),
+    /// Unary operator on a NUMBAR.
+    UnD(UnOp),
+    /// Widen the NUMBR `depth` values below the top to a NUMBAR (the
+    /// NUMBR side of a mixed NUMBR/NUMBAR operation).
+    IToD(u8),
+    /// Pop a NUMBR into a NUMBR slot.
+    StoreI(u16),
+    /// Pop a NUMBAR into a NUMBAR slot.
+    StoreD(u16),
+    /// Pop a NUMBR index, push that element of a shared array.
+    SharedLoadIdxI {
+        off: u32,
+        len: u32,
+        ty: LolType,
+        remote: bool,
+    },
+    /// Pop a NUMBR index, then a value of the shared array's own
+    /// NUMBR/NUMBAR type, and store it.
+    SharedStoreIdxT {
+        off: u32,
+        len: u32,
+        ty: LolType,
+        remote: bool,
+    },
+    /// Pop a NUMBR index, push that element of local array `arr`.
+    LocalArrLoadI {
+        arr: u16,
+    },
+    /// Pop a NUMBR index, then a NUMBR, into NUMBR local array `arr`.
+    LocalArrStoreI {
+        arr: u16,
+    },
+    /// Pop a NUMBR index, then a NUMBAR, into NUMBAR local array `arr`.
+    LocalArrStoreD {
+        arr: u16,
+    },
 
     // Superinstructions — peephole fusions of the idioms the compiler
     // emits for loop guards, stencil index arithmetic and reductions.
@@ -182,6 +237,130 @@ pub enum Op {
         remote: bool,
         idx: u16,
     },
+    /// `LoadLocal idx; LocalArrLoadI { arr }`.
+    LocalArrLoadIL {
+        arr: u16,
+        idx: u16,
+    },
+    /// `LoadLocal idx; SharedLoadIdxI { .. }`.
+    SharedLoadIdxIL {
+        off: u32,
+        len: u32,
+        ty: LolType,
+        remote: bool,
+        idx: u16,
+    },
+    /// `LoadLocal idx; LocalArrStoreI { arr }`.
+    LocalArrStoreIL {
+        arr: u16,
+        idx: u16,
+    },
+    /// `LoadLocal idx; LocalArrStoreD { arr }`.
+    LocalArrStoreDL {
+        arr: u16,
+        idx: u16,
+    },
+    /// `LoadLocal idx; SharedStoreIdxT { .. }`.
+    SharedStoreIdxTL {
+        off: u32,
+        len: u32,
+        ty: LolType,
+        remote: bool,
+        idx: u16,
+    },
+    /// `LoadLocal a; LoadLocal b; BinI(op)`.
+    BinILL {
+        op: BinOp,
+        a: u16,
+        b: u16,
+    },
+    /// `LoadLocal a; LoadLocal b; BinD(op)`.
+    BinDLL {
+        op: BinOp,
+        a: u16,
+        b: u16,
+    },
+    /// `LoadLocal a; ConstI(k); BinI(op)`.
+    BinILC {
+        op: BinOp,
+        a: u16,
+        k: i64,
+    },
+    /// `LoadLocal a; ConstD(k); BinD(op)`.
+    BinDLC {
+        op: BinOp,
+        a: u16,
+        k: f64,
+    },
+    /// `LoadLocal a; LoadLocal b; BinI(op); StoreI(dst)`.
+    BinILLS {
+        op: BinOp,
+        a: u16,
+        b: u16,
+        dst: u16,
+    },
+    /// `LoadLocal a; LoadLocal b; BinD(op); StoreD(dst)`.
+    BinDLLS {
+        op: BinOp,
+        a: u16,
+        b: u16,
+        dst: u16,
+    },
+    /// `LoadLocal a; ConstI(k); BinI(op); StoreI(dst)` — the typed
+    /// counter increment.
+    BinILCS {
+        op: BinOp,
+        a: u16,
+        k: i64,
+        dst: u16,
+    },
+    /// `LoadLocal a; ConstD(k); BinD(op); StoreD(dst)`.
+    BinDLCS {
+        op: BinOp,
+        a: u16,
+        k: f64,
+        dst: u16,
+    },
+    /// `BinI(op); StoreI(dst)`.
+    BinIS {
+        op: BinOp,
+        dst: u16,
+    },
+    /// `BinD(op); StoreD(dst)`.
+    BinDS {
+        op: BinOp,
+        dst: u16,
+    },
+    /// The typed counted-loop guard: jump when NUMBR `slots[slot]`
+    /// equals `k` (both guard shapes, as [`Op::JumpIfLocalEqConst`]).
+    JumpIfIEqConst {
+        slot: u16,
+        k: i64,
+        target: u32,
+    },
+    /// Jump when NUMBRs `slots[a]` and `slots[b]` are equal.
+    JumpIfIEqLocal {
+        a: u16,
+        b: u16,
+        target: u32,
+    },
+    /// `LoadLocal a; LoadLocal b; BinI(op); StoreLocal(0);
+    /// JumpIfLocalFalse(0, target)` for a comparison `op` — the
+    /// `BOTH SAEM a AN b, O RLY?` idiom: set `IT`, branch on it.
+    IfILL {
+        op: BinOp,
+        a: u16,
+        b: u16,
+        target: u32,
+    },
+    /// `LoadLocal a; ConstI(k); BinI(op); StoreLocal(0);
+    /// JumpIfLocalFalse(0, target)` for a comparison `op`.
+    IfILC {
+        op: BinOp,
+        a: u16,
+        k: i64,
+        target: u32,
+    },
     /// N-ary string concat.
     Smoosh(u8),
     /// N-ary AND / OR.
@@ -260,6 +439,19 @@ const PROFILE_NAMES: [&str; Op::COUNT] = [
     "ArrayCopy",
     "Bin",
     "Un",
+    "ConstI",
+    "ConstD",
+    "BinI",
+    "BinD",
+    "UnD",
+    "IToD",
+    "StoreI",
+    "StoreD",
+    "SharedLoadIdxI",
+    "SharedStoreIdxT",
+    "LocalArrLoadI",
+    "LocalArrStoreI",
+    "LocalArrStoreD",
     "BinLL",
     "BinLC",
     "BinSL",
@@ -274,6 +466,25 @@ const PROFILE_NAMES: [&str; Op::COUNT] = [
     "LocalArrStoreL",
     "SharedLoadIdxL",
     "SharedStoreIdxL",
+    "LocalArrLoadIL",
+    "SharedLoadIdxIL",
+    "LocalArrStoreIL",
+    "LocalArrStoreDL",
+    "SharedStoreIdxTL",
+    "BinILL",
+    "BinDLL",
+    "BinILC",
+    "BinDLC",
+    "BinILLS",
+    "BinDLLS",
+    "BinILCS",
+    "BinDLCS",
+    "BinIS",
+    "BinDS",
+    "JumpIfIEqConst",
+    "JumpIfIEqLocal",
+    "IfILL",
+    "IfILC",
     "Smoosh",
     "AllOf",
     "AnyOf",
@@ -296,14 +507,14 @@ const PROFILE_NAMES: [&str; Op::COUNT] = [
     "Halt",
 ];
 
-/// Profile indices `15..29` are the superinstructions.
-const SUPER_FIRST: usize = 15;
-const SUPER_LAST: usize = 28;
+/// Profile indices `28..61` are the superinstructions.
+const SUPER_FIRST: usize = 28;
+const SUPER_LAST: usize = 60;
 
 impl Op {
     /// Number of distinct opcodes (the length of a per-opcode profile
     /// counter array).
-    pub const COUNT: usize = 49;
+    pub const COUNT: usize = 81;
 
     /// This op's dense profile index (`0..Op::COUNT`), operand-blind:
     /// every `Bin` counts in the same cell regardless of operator.
@@ -326,40 +537,72 @@ impl Op {
             Op::ArrayCopy { .. } => 12,
             Op::Bin(_) => 13,
             Op::Un(_) => 14,
-            Op::BinLL { .. } => 15,
-            Op::BinLC { .. } => 16,
-            Op::BinSL { .. } => 17,
-            Op::BinSC { .. } => 18,
-            Op::BinLLS { .. } => 19,
-            Op::BinLCS { .. } => 20,
-            Op::CastStore { .. } => 21,
-            Op::JumpIfLocalEqConst { .. } => 22,
-            Op::JumpIfLocalEqLocal { .. } => 23,
-            Op::JumpIfLocalFalse { .. } => 24,
-            Op::LocalArrLoadL { .. } => 25,
-            Op::LocalArrStoreL { .. } => 26,
-            Op::SharedLoadIdxL { .. } => 27,
-            Op::SharedStoreIdxL { .. } => 28,
-            Op::Smoosh(_) => 29,
-            Op::AllOf(_) => 30,
-            Op::AnyOf(_) => 31,
-            Op::Jump(_) => 32,
-            Op::JumpIfFalse(_) => 33,
-            Op::Call { .. } => 34,
-            Op::Ret => 35,
-            Op::Visible { .. } => 36,
-            Op::ReadLine => 37,
-            Op::Barrier => 38,
-            Op::LockAcquire { .. } => 39,
-            Op::LockTry { .. } => 40,
-            Op::LockRelease { .. } => 41,
-            Op::PushBff => 42,
-            Op::PopBff => 43,
-            Op::Me => 44,
-            Op::MahFrenz => 45,
-            Op::RandI => 46,
-            Op::RandF => 47,
-            Op::Halt => 48,
+            Op::ConstI(_) => 15,
+            Op::ConstD(_) => 16,
+            Op::BinI(_) => 17,
+            Op::BinD(_) => 18,
+            Op::UnD(_) => 19,
+            Op::IToD(_) => 20,
+            Op::StoreI(_) => 21,
+            Op::StoreD(_) => 22,
+            Op::SharedLoadIdxI { .. } => 23,
+            Op::SharedStoreIdxT { .. } => 24,
+            Op::LocalArrLoadI { .. } => 25,
+            Op::LocalArrStoreI { .. } => 26,
+            Op::LocalArrStoreD { .. } => 27,
+            Op::BinLL { .. } => 28,
+            Op::BinLC { .. } => 29,
+            Op::BinSL { .. } => 30,
+            Op::BinSC { .. } => 31,
+            Op::BinLLS { .. } => 32,
+            Op::BinLCS { .. } => 33,
+            Op::CastStore { .. } => 34,
+            Op::JumpIfLocalEqConst { .. } => 35,
+            Op::JumpIfLocalEqLocal { .. } => 36,
+            Op::JumpIfLocalFalse { .. } => 37,
+            Op::LocalArrLoadL { .. } => 38,
+            Op::LocalArrStoreL { .. } => 39,
+            Op::SharedLoadIdxL { .. } => 40,
+            Op::SharedStoreIdxL { .. } => 41,
+            Op::LocalArrLoadIL { .. } => 42,
+            Op::SharedLoadIdxIL { .. } => 43,
+            Op::LocalArrStoreIL { .. } => 44,
+            Op::LocalArrStoreDL { .. } => 45,
+            Op::SharedStoreIdxTL { .. } => 46,
+            Op::BinILL { .. } => 47,
+            Op::BinDLL { .. } => 48,
+            Op::BinILC { .. } => 49,
+            Op::BinDLC { .. } => 50,
+            Op::BinILLS { .. } => 51,
+            Op::BinDLLS { .. } => 52,
+            Op::BinILCS { .. } => 53,
+            Op::BinDLCS { .. } => 54,
+            Op::BinIS { .. } => 55,
+            Op::BinDS { .. } => 56,
+            Op::JumpIfIEqConst { .. } => 57,
+            Op::JumpIfIEqLocal { .. } => 58,
+            Op::IfILL { .. } => 59,
+            Op::IfILC { .. } => 60,
+            Op::Smoosh(_) => 61,
+            Op::AllOf(_) => 62,
+            Op::AnyOf(_) => 63,
+            Op::Jump(_) => 64,
+            Op::JumpIfFalse(_) => 65,
+            Op::Call { .. } => 66,
+            Op::Ret => 67,
+            Op::Visible { .. } => 68,
+            Op::ReadLine => 69,
+            Op::Barrier => 70,
+            Op::LockAcquire { .. } => 71,
+            Op::LockTry { .. } => 72,
+            Op::LockRelease { .. } => 73,
+            Op::PushBff => 74,
+            Op::PopBff => 75,
+            Op::Me => 76,
+            Op::MahFrenz => 77,
+            Op::RandI => 78,
+            Op::RandF => 79,
+            Op::Halt => 80,
         }
     }
 

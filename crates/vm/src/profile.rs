@@ -163,7 +163,7 @@ mod tests {
         assert!(Op::is_superinstruction(Op::BinLL { op: sum, a: 0, b: 0 }.profile_index()));
         assert!(!Op::is_superinstruction(Op::Bin(sum).profile_index()));
         let n_super = (0..Op::COUNT).filter(|&i| Op::is_superinstruction(i)).count();
-        assert_eq!(n_super, 14);
+        assert_eq!(n_super, 33);
     }
 
     #[test]

@@ -619,6 +619,65 @@ fn yarn_and_overflow_buckets_agree_with_full_observability() {
     }
 }
 
+/// The typed bucket through every engine that runs bytecode: interp vs
+/// vm vs sim at 1 and 3 PEs, with full observability on — per-PE
+/// outputs, per-PE [`CommStats`], trace signatures and virtual walls
+/// must all be byte-identical, or all three must fault. This is the
+/// oracle for the VM's typed opcodes: `SRSLY` NUMBR/NUMBAR locals,
+/// typed arrays, counters (some assigned by their own body), i64-rim
+/// wrapping, `QUOSHUNT`/`MOD` by zero and NaN/inf through
+/// `BIGGR`/`SMALLR` run exactly as the interpreter runs them.
+#[test]
+fn typed_bucket_agrees_across_bytecode_engines_with_full_observability() {
+    let mut gen = ProgramGen::bucketed(0x7E9E_D0C5_u64, GenBucket::Typed);
+    let (mut compiled, mut ran) = (0usize, 0usize);
+    for case in 0..40u64 {
+        let src = gen.program();
+        let Ok(artifact) = compile(&src) else { continue };
+        compiled += 1;
+        for n_pes in [1usize, 3] {
+            let cfg = RunConfig::new(n_pes)
+                .seed(case)
+                .timeout(Duration::from_secs(20))
+                .trace(true)
+                .clock(ClockMode::Virtual)
+                .latency(LatencyModel::epiphany16());
+            let a = InterpEngine.run(&artifact, &cfg);
+            let b = VmEngine.run(&artifact, &cfg);
+            let s = SimEngine.run(&artifact, &cfg);
+            match (a, b, s) {
+                (Ok(x), Ok(y), Ok(z)) => {
+                    ran += 1;
+                    for (other, which) in [(&y, "vm"), (&z, "sim")] {
+                        let at = format!("typed case {case} at {n_pes} PEs vs {which}");
+                        assert_eq!(x.outputs, other.outputs, "{at}: output divergence on:\n{src}");
+                        assert_eq!(x.stats, other.stats, "{at}: CommStats divergence on:\n{src}");
+                        assert_eq!(
+                            x.trace.as_ref().expect("interp trace").signature(),
+                            other.trace.as_ref().expect("other trace").signature(),
+                            "{at}: trace divergence on:\n{src}"
+                        );
+                        assert_eq!(
+                            x.virtual_wall, other.virtual_wall,
+                            "{at}: virtual-wall divergence on:\n{src}"
+                        );
+                    }
+                }
+                (Err(_), Err(_), Err(_)) => {} // all faulted: fine
+                (a, b, s) => panic!(
+                    "typed case {case}: engines disagree about faulting at {n_pes} PEs: \
+                     {:?} vs {:?} vs {:?}\n{src}",
+                    a.map(|r| r.outputs),
+                    b.map(|r| r.outputs),
+                    s.map(|r| r.outputs)
+                ),
+            }
+        }
+    }
+    assert!(compiled >= 30, "only {compiled}/40 typed programs compiled — generator drifted");
+    assert!(ran >= compiled, "only {ran} clean runs of {compiled} programs — too fault-happy");
+}
+
 /// The typed bucket through interp and the C backend at 1 and 3 PEs:
 /// per-PE outputs must be byte-identical, or both runs must fault. This
 /// is the differential oracle for the C emitter's native lowering of
