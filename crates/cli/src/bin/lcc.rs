@@ -5,13 +5,14 @@
 //! ```
 //!
 //! Translates parallel LOLCODE to C with OpenSHMEM calls. With
-//! `--stub`, also writes the multi-PE pthread `shmem.h` stub next to
-//! the output so the result builds *and runs SPMD* on machines without
-//! an OpenSHMEM installation:
+//! `--stub`, also writes the multi-PE pthread OpenSHMEM stub next to
+//! the output, as a header (`shmem.h`) and the library behind it
+//! (`shmem_stub.c`), so the result builds *and runs SPMD* on machines
+//! without an OpenSHMEM installation:
 //!
 //! ```text
 //! lcc code.lol -o prog.c --stub
-//! cc -std=c99 -I. prog.c -lm -pthread -o prog
+//! cc -std=c99 -I. prog.c shmem_stub.c -lm -pthread -o prog
 //! ./prog                         # 1 PE, stdout
 //! LOL_STUB_NPES=8 ./prog         # 8 PE threads
 //! ```
@@ -24,8 +25,9 @@ use std::process::ExitCode;
 const USAGE: &str = "\
 usage: lcc <input.lol> [-o <output.c>] [--stub] [--check]
   -o <file>   write C output here (default: stdout)
-  --stub      also write the multi-PE pthread shmem.h stub beside the
-              output (build: cc -std=c99 -I. out.c -lm -pthread;
+  --stub      also write the multi-PE pthread OpenSHMEM stub (shmem.h
+              and shmem_stub.c) beside the output (build:
+              cc -std=c99 -I. out.c shmem_stub.c -lm -pthread;
               run N PEs: LOL_STUB_NPES=N ./a.out)
   --check     parse + analyze only; print warnings, emit nothing
 ";
@@ -116,10 +118,15 @@ fn main() -> ExitCode {
                     .parent()
                     .map(|p| p.to_path_buf())
                     .unwrap_or_default();
-                let stub_path = dir.join("shmem.h");
-                if let Err(e) = std::fs::write(&stub_path, lol_c_codegen::SHMEM_STUB_H) {
-                    eprintln!("O NOES! CANT WRITE {}: {e}", stub_path.display());
-                    return ExitCode::FAILURE;
+                for (name, text) in [
+                    ("shmem.h", lol_c_codegen::SHMEM_STUB_H),
+                    ("shmem_stub.c", lol_c_codegen::SHMEM_STUB_C),
+                ] {
+                    let stub_path = dir.join(name);
+                    if let Err(e) = std::fs::write(&stub_path, text) {
+                        eprintln!("O NOES! CANT WRITE {}: {e}", stub_path.display());
+                        return ExitCode::FAILURE;
+                    }
                 }
             }
         }

@@ -382,6 +382,9 @@ fn lcc_emits_c_to_stdout_and_file() {
     assert!(out.status.success());
     assert!(c_path.exists());
     assert!(c_path.with_file_name("shmem.h").exists(), "--stub writes shmem.h");
+    let lib = std::fs::read_to_string(c_path.with_file_name("shmem_stub.c"))
+        .expect("--stub writes the stub library source");
+    assert_eq!(lib, lol_c_codegen::SHMEM_STUB_C);
 }
 
 #[test]
@@ -407,6 +410,7 @@ fn lcc_full_paper_workflow_compiles_with_cc() {
         .arg("-I")
         .arg(c_path.parent().unwrap())
         .arg(&c_path)
+        .arg(c_path.with_file_name("shmem_stub.c"))
         .arg("-lm")
         .arg("-o")
         .arg(&bin)

@@ -2,32 +2,35 @@
 //! `lcc code.lol -o executable.x && coprsh -np 16 ./executable.x`
 //! workflow that happens *after* code generation.
 //!
-//! [`build`] writes the generated C plus the multi-PE
-//! [`SHMEM_STUB_H`] runtime into a fresh temp
-//! directory and hands them to the system C compiler (probed **once**
-//! per process — [`cc`]); the resulting [`CBinary`] can then be
-//! [run][CBinary::run] any number of times across PE counts, seeds,
-//! inputs, interconnect models and barrier/lock algorithms. Each run
-//! talks to the stub over a small env protocol (`LOL_STUB_NPES` /
-//! `LOL_STUB_SEED` / `LOL_STUB_OUT` / `LOL_STUB_LATENCY` /
-//! `LOL_STUB_BARRIER` / `LOL_STUB_LOCK`) and reads the
-//! per-PE outputs and operation counters back from capture files, so a
-//! C-backend run reports the same per-PE shape as the in-process
-//! engines.
+//! [`build`] writes the generated C and the stub header
+//! ([`SHMEM_STUB_H`]) into a fresh temp directory, compiles it with
+//! the system C compiler (probed **once** per process — [`cc`]) and
+//! links it with the stub library ([`SHMEM_STUB_C`]). Like an
+//! installed OpenSHMEM library, the stub library is compiled once per
+//! process, and its object is linked into every program; the first
+//! build compiles it alongside the program. The resulting [`CBinary`]
+//! can then be [run][CBinary::run] any number of times across PE
+//! counts, seeds, inputs, interconnect models and barrier/lock
+//! algorithms. Each run talks to the stub over a small env protocol
+//! (`LOL_STUB_NPES` / `LOL_STUB_SEED` / `LOL_STUB_OUT` /
+//! `LOL_STUB_LATENCY` / `LOL_STUB_BARRIER` / `LOL_STUB_LOCK`) and
+//! reads the per-PE outputs and operation counters back from capture
+//! files, so a C-backend run reports the same per-PE shape as the
+//! in-process engines.
 //!
 //! Everything here degrades cleanly: no compiler on the machine is
 //! [`DriverError::NoCompiler`] (callers surface it as "unsupported",
 //! not a failure), and a hung binary is killed at the caller's
 //! deadline.
 
-use crate::runtime::SHMEM_STUB_H;
+use crate::runtime::{SHMEM_STUB_C, SHMEM_STUB_H};
 use lol_shmem::{BarrierKind, CommStats, LatencyModel, LockKind};
 use lol_trace::{ClockMode, EventKind, PeTrace, TraceEvent};
 use std::io::Read as _;
-use std::path::PathBuf;
-use std::process::{Command, Stdio};
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 /// The stub's hard PE-thread cap (`LOL_STUB_MAX_PES` in
@@ -76,7 +79,8 @@ pub fn cc() -> Option<&'static CcInfo> {
 pub enum DriverError {
     /// No usable C compiler on this machine (probe failed).
     NoCompiler,
-    /// The C compiler rejected the generated translation unit.
+    /// The C compiler rejected the generated translation unit or the
+    /// stub library, or the link failed.
     Build(String),
     /// Filesystem / process-spawn trouble.
     Io(String),
@@ -196,38 +200,130 @@ impl Drop for CBinary {
     }
 }
 
-/// Compile a generated translation unit against the bundled stub.
+/// The flags of every C compile. The stub library and each program
+/// build with the same ones, so the two objects agree on feature
+/// macros. `_POSIX_C_SOURCE` unhides clock_gettime/nanosleep under
+/// `-std=c99`: the stub's latency models busy-wait on the monotonic
+/// clock (and degrade to zero delay when the host genuinely lacks it).
+const CFLAGS: [&str; 4] = ["-std=c99", "-D_POSIX_C_SOURCE=200809L", "-O1", "-pthread"];
+
+/// Sequence numbers for [`fresh_dir`] names.
+static SEQ: AtomicU64 = AtomicU64::new(0);
+
+fn io_err(e: std::io::Error) -> DriverError {
+    DriverError::Io(e.to_string())
+}
+
+/// Create a new directory `<tmp>/<prefix>-<pid>-<seq>`. A name that
+/// already exists (a stale dir of a recycled pid, or one planted by
+/// another user of a shared temp dir) is skipped, never reused.
+fn fresh_dir(prefix: &str) -> Result<PathBuf, DriverError> {
+    loop {
+        let dir = std::env::temp_dir().join(format!(
+            "{prefix}-{}-{}",
+            std::process::id(),
+            SEQ.fetch_add(1, Ordering::Relaxed)
+        ));
+        match std::fs::create_dir(&dir) {
+            Ok(()) => return Ok(dir),
+            Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => continue,
+            Err(e) => return Err(io_err(e)),
+        }
+    }
+}
+
+/// Turn a finished `cc` into a result: a nonzero exit is the
+/// compiler's complaint.
+fn cc_result(out: std::io::Result<Output>) -> Result<(), DriverError> {
+    let out = out.map_err(io_err)?;
+    if out.status.success() {
+        Ok(())
+    } else {
+        Err(DriverError::Build(String::from_utf8_lossy(&out.stderr).into_owned()))
+    }
+}
+
+/// The object code of the stub library ([`SHMEM_STUB_C`]), compiled
+/// with [`CFLAGS`] once per process. Callers that arrive during the
+/// compile wait for it; a failed compile is returned, not cached, so
+/// the next build retries.
+fn stub_object(cc: &CcInfo) -> Result<Arc<[u8]>, DriverError> {
+    static OBJECT: Mutex<Option<Arc<[u8]>>> = Mutex::new(None);
+    let mut object = OBJECT.lock().unwrap_or_else(PoisonError::into_inner);
+    if let Some(bytes) = &*object {
+        return Ok(bytes.clone());
+    }
+    let dir = fresh_dir("lolstub")?;
+    let compile = || {
+        std::fs::write(dir.join("shmem.h"), SHMEM_STUB_H).map_err(io_err)?;
+        std::fs::write(dir.join("shmem_stub.c"), SHMEM_STUB_C).map_err(io_err)?;
+        #[cfg(test)]
+        tests::STUB_COMPILES.fetch_add(1, Ordering::Relaxed);
+        cc_result(
+            Command::new(&cc.path)
+                .args(CFLAGS)
+                .arg("-c")
+                .arg(dir.join("shmem_stub.c"))
+                .arg("-o")
+                .arg(dir.join("shmem_stub.o"))
+                .output(),
+        )?;
+        std::fs::read(dir.join("shmem_stub.o")).map_err(io_err)
+    };
+    let built = compile();
+    let _ = std::fs::remove_dir_all(&dir);
+    let bytes: Arc<[u8]> = built?.into();
+    *object = Some(bytes.clone());
+    Ok(bytes)
+}
+
+/// Compile a generated translation unit and link it with the stub
+/// library into a binary in a fresh directory of its own.
 pub fn build(c_source: &str) -> Result<CBinary, DriverError> {
     let cc = cc().ok_or(DriverError::NoCompiler)?;
-    static SEQ: AtomicU64 = AtomicU64::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "lolcc-{}-{}",
-        std::process::id(),
-        SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
-    let io = |e: std::io::Error| DriverError::Io(e.to_string());
-    std::fs::create_dir_all(&dir).map_err(io)?;
-    std::fs::write(dir.join("shmem.h"), SHMEM_STUB_H).map_err(io)?;
-    let c_path = dir.join("prog.c");
-    std::fs::write(&c_path, c_source).map_err(io)?;
-    let bin = dir.join("prog");
-    // _POSIX_C_SOURCE unhides clock_gettime/nanosleep under -std=c99:
-    // the stub's latency models busy-wait on the monotonic clock (and
-    // degrade to zero-delay when the host genuinely lacks it).
-    let out = Command::new(&cc.path)
-        .args(["-std=c99", "-D_POSIX_C_SOURCE=200809L", "-O1", "-pthread", "-I"])
-        .arg(&dir)
-        .arg(&c_path)
-        .arg("-lm")
-        .arg("-o")
-        .arg(&bin)
-        .output()
-        .map_err(io)?;
-    if !out.status.success() {
-        let _ = std::fs::remove_dir_all(&dir);
-        return Err(DriverError::Build(String::from_utf8_lossy(&out.stderr).into_owned()));
+    let dir = fresh_dir("lolcc")?;
+    match compile_and_link(cc, &dir, c_source) {
+        Ok(bin) => Ok(CBinary { dir, bin, runs: AtomicU64::new(0) }),
+        Err(e) => {
+            let _ = std::fs::remove_dir_all(&dir);
+            Err(e)
+        }
     }
-    Ok(CBinary { dir, bin, runs: AtomicU64::new(0) })
+}
+
+/// `cc -c prog.c`, then link it with the stub library's object, all
+/// inside `dir`. The program's compile starts before the library is
+/// asked for, so a process's first build compiles both side by side.
+fn compile_and_link(cc: &CcInfo, dir: &Path, c_source: &str) -> Result<PathBuf, DriverError> {
+    std::fs::write(dir.join("shmem.h"), SHMEM_STUB_H).map_err(io_err)?;
+    std::fs::write(dir.join("prog.c"), c_source).map_err(io_err)?;
+    let prog = Command::new(&cc.path)
+        .args(CFLAGS)
+        .arg("-I")
+        .arg(dir)
+        .arg("-c")
+        .arg(dir.join("prog.c"))
+        .arg("-o")
+        .arg(dir.join("prog.o"))
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .map_err(io_err)?;
+    let stub = stub_object(cc);
+    cc_result(prog.wait_with_output())?;
+    std::fs::write(dir.join("shmem_stub.o"), &*stub?).map_err(io_err)?;
+    let bin = dir.join("prog");
+    cc_result(
+        Command::new(&cc.path)
+            .args(CFLAGS)
+            .arg(dir.join("prog.o"))
+            .arg(dir.join("shmem_stub.o"))
+            .arg("-lm")
+            .arg("-o")
+            .arg(&bin)
+            .output(),
+    )?;
+    Ok(bin)
 }
 
 impl CBinary {
@@ -238,10 +334,9 @@ impl CBinary {
 
     /// Execute the binary once and collect per-PE outputs and stats.
     pub fn run(&self, req: &RunRequest<'_>) -> Result<CRunOutput, DriverError> {
-        let io = |e: std::io::Error| DriverError::Io(e.to_string());
         let run_id = self.runs.fetch_add(1, Ordering::Relaxed);
         let out_dir = self.dir.join(format!("run{run_id}"));
-        std::fs::create_dir_all(&out_dir).map_err(io)?;
+        std::fs::create_dir_all(&out_dir).map_err(io_err)?;
         let prefix = out_dir.join("out");
 
         let mut child = Command::new(&self.bin)
@@ -257,7 +352,7 @@ impl CBinary {
             .stdout(Stdio::null()) // VISIBLE goes to the capture files
             .stderr(Stdio::piped())
             .spawn()
-            .map_err(io)?;
+            .map_err(io_err)?;
         let t0 = Instant::now();
         {
             // Feed GIMMEH from a detached thread and close stdin so an
@@ -278,23 +373,37 @@ impl CBinary {
                 let _ = stdin.write_all(text.as_bytes());
             });
         }
-        let status = loop {
-            match child.try_wait().map_err(io)? {
-                Some(status) => break status,
-                None if t0.elapsed() > req.timeout => {
-                    let _ = child.kill();
-                    let _ = child.wait();
-                    let _ = std::fs::remove_dir_all(&out_dir);
-                    return Err(DriverError::Timeout(req.timeout));
+        // Wake when the child exits rather than polling for it: a thread
+        // drains stderr (so a chatty child never blocks on a full pipe)
+        // and reports at EOF, which the child's exit brings about.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let mut pipe = child.stderr.take().expect("piped stderr");
+        let reader = std::thread::spawn(move || {
+            let mut text = String::new();
+            let _ = pipe.read_to_string(&mut text);
+            let _ = tx.send(text);
+        });
+        let stderr = rx.recv_timeout(req.timeout.saturating_sub(t0.elapsed())).ok();
+        let mut status = None;
+        if stderr.is_some() {
+            // The pipe closes a moment before the exit status is ready.
+            while status.is_none() && t0.elapsed() <= req.timeout {
+                status = child.try_wait().map_err(io_err)?;
+                if status.is_none() {
+                    std::thread::sleep(Duration::from_micros(20));
                 }
-                None => std::thread::sleep(Duration::from_millis(2)),
             }
-        };
-        let wall = t0.elapsed();
-        let mut stderr = String::new();
-        if let Some(mut pipe) = child.stderr.take() {
-            let _ = pipe.read_to_string(&mut stderr);
         }
+        let (Some(stderr), Some(status)) = (stderr, status) else {
+            // Killing the child closes the pipe, so the reader ends too.
+            let _ = child.kill();
+            let _ = child.wait();
+            reader.join().expect("the stderr reader does not panic");
+            let _ = std::fs::remove_dir_all(&out_dir);
+            return Err(DriverError::Timeout(req.timeout));
+        };
+        reader.join().expect("the stderr reader does not panic");
+        let wall = t0.elapsed();
         if !status.success() {
             let _ = std::fs::remove_dir_all(&out_dir);
             return Err(DriverError::Program { status: status.code(), stderr });
@@ -425,6 +534,17 @@ fn parse_stats(text: &str, n_pes: usize) -> Result<(Vec<CommStats>, Vec<u64>), D
 mod tests {
     use super::*;
 
+    /// Stub-library compiles so far: the library must compile once per
+    /// process.
+    pub(super) static STUB_COMPILES: AtomicU64 = AtomicU64::new(0);
+
+    /// Held by every test that builds, so no other build takes a
+    /// directory name while a test relies on which name comes next.
+    fn building() -> std::sync::MutexGuard<'static, ()> {
+        static BUILDS: Mutex<()> = Mutex::new(());
+        BUILDS.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     #[test]
     fn parse_stats_round_trip() {
         // Legacy 7-column rows parse with a zero virtual clock.
@@ -482,6 +602,105 @@ mod tests {
         let a = cc().map(|c| c.path.clone());
         let b = cc().map(|c| c.path.clone());
         assert_eq!(a, b);
+    }
+
+    /// A program's generated C and its per-PE outputs on the VM.
+    fn c_and_vm_outputs(src: &str, n_pes: usize) -> (String, Vec<String>) {
+        let p = lol_parser::parse(src).expect_program(src);
+        let a = lol_sema::analyze(&p);
+        let c = crate::emit_c(&p, &a).expect("codegen");
+        let module = lol_vm::compile(&p, &a).expect("vm compile");
+        let cfg = lol_shmem::ShmemConfig::new(n_pes).timeout(Duration::from_secs(30));
+        let want = lol_shmem::run_spmd(cfg, |pe| {
+            lol_vm::run_on_pe(&module, pe, &[]).unwrap_or_else(|e| pe.fail(e.to_string()))
+        })
+        .expect("vm run");
+        (c, want)
+    }
+
+    #[test]
+    fn concurrent_builds_compile_the_stub_library_once() {
+        if cc().is_none() {
+            return;
+        }
+        let _building = building();
+        let start = std::sync::Arc::new(std::sync::Barrier::new(4));
+        let builders: Vec<_> = (0..4)
+            .map(|i| {
+                let start = start.clone();
+                std::thread::spawn(move || {
+                    let src = format!(
+                        "HAI 1.2\nWE HAS A x ITZ SRSLY A NUMBR\nx R PRODUKT OF ME AN {i}\nHUGZ\n\
+                         VISIBLE \"PROGRAM {i} PE \" ME \" HAS \" x\nKTHXBYE\n"
+                    );
+                    let (c, want) = c_and_vm_outputs(&src, 2);
+                    start.wait();
+                    let bin = build(&c).unwrap_or_else(|e| panic!("program {i}: {e}"));
+                    let req = RunRequest { n_pes: 2, ..RunRequest::default() };
+                    assert_eq!(bin.run(&req).expect("run").outputs, want, "program {i}");
+                })
+            })
+            .collect();
+        for b in builders {
+            b.join().expect("builder thread");
+        }
+        assert_eq!(STUB_COMPILES.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn builds_skip_dirs_they_did_not_create() {
+        if cc().is_none() {
+            return;
+        }
+        /// Removes the planted dirs however the test ends.
+        struct Planted(Vec<PathBuf>);
+        impl Drop for Planted {
+            fn drop(&mut self) {
+                for dir in &self.0 {
+                    let _ = std::fs::remove_dir_all(dir);
+                }
+            }
+        }
+        let _building = building();
+        // Plant the next few names, as a stale dir of a recycled pid or
+        // another user of the temp dir would.
+        let next = SEQ.load(Ordering::Relaxed);
+        let name = |seq| std::env::temp_dir().join(format!("lolcc-{}-{seq}", std::process::id()));
+        let planted = Planted((next..next + 8).map(name).collect());
+        for dir in &planted.0 {
+            std::fs::create_dir(dir).expect("plant a dir");
+            std::fs::write(dir.join("prog.c"), "planted").expect("plant a file");
+        }
+        let (c, want) = c_and_vm_outputs("HAI 1.2\nVISIBLE \"HAI\"\nKTHXBYE\n", 1);
+        let bin = build(&c).expect("build");
+        assert_eq!(bin.dir, name(next + 8), "the first name past the planted ones");
+        assert_eq!(bin.run(&RunRequest::default()).expect("run").outputs, want);
+        for dir in &planted.0 {
+            let entries = std::fs::read_dir(dir).expect("planted dir kept").count();
+            assert_eq!(entries, 1, "{} gained files", dir.display());
+            let text = std::fs::read_to_string(dir.join("prog.c")).expect("planted file kept");
+            assert_eq!(text, "planted");
+        }
+    }
+
+    #[test]
+    fn a_chatty_stderr_does_not_stall_the_run() {
+        if cc().is_none() {
+            return;
+        }
+        let _building = building();
+        // Far more than a pipe buffer of stderr, then a fault exit.
+        let c = "#include <stdio.h>\nint main(void) {\n    int i;\n\
+                 for (i = 0; i < 100000; i++) fputs(\"O NOES! [RUN0000]\\n\", stderr);\n\
+                 return 3;\n}\n";
+        let bin = build(c).expect("build");
+        let req = RunRequest { timeout: Duration::from_secs(10), ..RunRequest::default() };
+        match bin.run(&req) {
+            Err(DriverError::Program { status: Some(3), stderr }) => {
+                assert_eq!(stderr.len(), 18 * 100_000)
+            }
+            other => panic!("expected the fault with its whole stderr, got {other:?}"),
+        }
     }
 
     #[test]

@@ -15,14 +15,16 @@
 //! * carries the dynamic value semantics in an embedded C runtime.
 //!
 //! Because no OpenSHMEM library exists in this environment, the crate
-//! also ships [`SHMEM_STUB_H`], a multi-PE pthread stub good enough to
-//! compile and *run* the generated C with any C99 compiler — and the
-//! [`driver`] module that probes the system compiler, builds the
-//! generated C against that stub, executes the binary across PE
-//! counts, and parses the per-PE outputs and operation counters back
-//! out. That driver is what makes the C path a first-class engine
-//! (`Backend::C` in the `lolcode` crate) rather than emit-only; the
-//! tests compile-and-run against the interpreter differentially.
+//! also ships a multi-PE pthread stub good enough to compile and *run*
+//! the generated C with any C99 compiler: a header, [`SHMEM_STUB_H`],
+//! and the library behind it, [`SHMEM_STUB_C`]. The [`driver`] module
+//! probes the system compiler, compiles the stub library once per
+//! process, builds the generated C and links it with that library,
+//! executes the binary across PE counts, and parses the per-PE outputs
+//! and operation counters back out. That driver is what makes the C
+//! path a first-class engine (`Backend::C` in the `lolcode` crate)
+//! rather than emit-only; the tests compile-and-run against the
+//! interpreter differentially.
 
 #![forbid(unsafe_code)]
 
@@ -30,7 +32,7 @@ pub mod driver;
 mod emit;
 pub mod runtime;
 
-pub use runtime::{LOL_RUNTIME, SHMEM_STUB_H};
+pub use runtime::{LOL_RUNTIME, SHMEM_STUB_C, SHMEM_STUB_H};
 
 use lol_ast::diag::Diagnostic;
 use lol_ast::Program;
